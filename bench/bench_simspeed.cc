@@ -7,11 +7,11 @@
  * ExperimentEngine (memoize off) so every iteration pays for a real
  * simulation instead of a cache lookup.
  *
- * The BM_Kernel* pairs run the same configuration under the
- * cycle-stepped and the event-driven kernel; the ratio of their
- * sim_cycles/s counters is the event kernel's speedup (the CI
- * kernel-parity job records both into BENCH_simspeed.json). The
- * headline pair is the Figure 10 latency sweep's worst point —
+ * The BM_Kernel* groups run the same configuration under the
+ * cycle-stepped, the event-driven and the batched (fast-lane) kernel;
+ * the ratios of their sim_cycles/s counters are the kernel speedups
+ * (the CI kernel-parity job records them into BENCH_simspeed.json).
+ * The headline point is the Figure 10 latency sweep's worst one —
  * memory latency 100 on the reference machine — where the stepped
  * kernel spends almost every cycle discovering that nothing can
  * dispatch.
@@ -32,10 +32,10 @@ using namespace mtv;
 constexpr double speedScale = 2e-5;
 
 mtv::EngineOptions
-uncached(SimKernel kernel = SimKernel::Event)
+uncached(SimKernel kernel = SimKernel::Event, int workers = 1)
 {
     EngineOptions options;
-    options.workers = 1;    // the benchmark loop provides the timing
+    options.workers = workers;  // 1: the benchmark loop times the run
     options.memoize = false;
     options.kernel = kernel;
     return options;
@@ -120,7 +120,7 @@ BM_WorkloadGeneration(benchmark::State &state)
 /**
  * Batch-dispatch overhead: a 16-spec sweep through runAll(). The
  * work happens on the engine's worker thread, so this benchmark (and
- * the sweep pair below) times iterations manually — rate counters
+ * the sweep pairs below) times iterations manually — rate counters
  * divide by wall time instead of the waiting caller's ~zero CPU time.
  */
 void
@@ -197,17 +197,17 @@ BM_KernelBatched_Mth4Lat100(benchmark::State &state)
 }
 
 /**
- * The whole Figure 10 latency sweep through runAll() — the workload
- * the batched kernel exists for: on the batched engine the 7 family-
- * mates coalesce into one lockstep runBatch() call, on the event
- * engine they run one VectorSim each. The ratio of their
- * sim_cycles/s is the tentpole's headline number; CI ratchets it
- * with perf_gate.py --min-ratio.
+ * The whole Figure 10 latency sweep through runAll(): 7 independent
+ * points, one engine task and one kernel call each. The one-worker
+ * pair measures the kernels back to back; the four-worker pair
+ * measures them at a realistic pool size, where a sweep's points
+ * spread across workers — CI ratchets the batched:event ratio of
+ * that pair with perf_gate.py --min-ratio.
  */
 void
-runFig10Sweep(benchmark::State &state, SimKernel kernel)
+runFig10Sweep(benchmark::State &state, SimKernel kernel, int workers)
 {
-    ExperimentEngine engine(uncached(kernel));
+    ExperimentEngine engine(uncached(kernel, workers));
     std::vector<RunSpec> specs;
     for (const int latency : {1, 20, 40, 50, 60, 80, 100}) {
         MachineParams p = MachineParams::reference();
@@ -237,13 +237,25 @@ runFig10Sweep(benchmark::State &state, SimKernel kernel)
 void
 BM_KernelEvent_Fig10Sweep(benchmark::State &state)
 {
-    runFig10Sweep(state, SimKernel::Event);
+    runFig10Sweep(state, SimKernel::Event, 1);
 }
 
 void
 BM_KernelBatched_Fig10Sweep(benchmark::State &state)
 {
-    runFig10Sweep(state, SimKernel::Batched);
+    runFig10Sweep(state, SimKernel::Batched, 1);
+}
+
+void
+BM_KernelEvent_Fig10Sweep4W(benchmark::State &state)
+{
+    runFig10Sweep(state, SimKernel::Event, 4);
+}
+
+void
+BM_KernelBatched_Fig10Sweep4W(benchmark::State &state)
+{
+    runFig10Sweep(state, SimKernel::Batched, 4);
 }
 
 BENCHMARK(BM_Reference);
@@ -259,6 +271,8 @@ BENCHMARK(BM_KernelEvent_Mth4Lat100);
 BENCHMARK(BM_KernelBatched_Mth4Lat100);
 BENCHMARK(BM_KernelEvent_Fig10Sweep)->UseManualTime();
 BENCHMARK(BM_KernelBatched_Fig10Sweep)->UseManualTime();
+BENCHMARK(BM_KernelEvent_Fig10Sweep4W)->UseManualTime();
+BENCHMARK(BM_KernelBatched_Fig10Sweep4W)->UseManualTime();
 
 } // namespace
 

@@ -1,13 +1,13 @@
 /**
  * @file
- * The batched lockstep kernel. The fast lane below is a
- * transliteration of the event kernel — VectorSim::runEvent plus
+ * The fast-lane kernel. The fast lane below is a transliteration of
+ * the event kernel — VectorSim::runEvent plus
  * DispatchUnit::planDispatch/commit/considerWakeups — specialized to
  * the machine shape sweeps run (one decode slot, no decoupled slip,
  * so a one-deep fetch window), over pre-decoded programs. Every
  * check, charge and ready-time write below mirrors its original
  * check-for-check; the golden digests (tests/test_golden.cc) and the
- * CI kernel-parity job hold the two in lockstep. When you change
+ * CI kernel-parity job keep the two in step. When you change
  * dispatch semantics in src/core/dispatch.cc or run machinery in
  * src/core/sim.cc, change the mirror here.
  */
@@ -47,7 +47,7 @@ constexpr uint8_t kFlagStore = 1u << 4;
 /**
  * One pre-decoded instruction: the per-instruction work that depends
  * only on the stream — unit class, operand/bank indices, clamped
- * vector length, predicate flags — done once per family instead of
+ * vector length, predicate flags — done once per stream instead of
  * once per fetched instruction per point.
  */
 struct DecodedInst
@@ -62,7 +62,7 @@ struct DecodedInst
     int32_t stride;
 };
 
-/** A fully decoded program, shared by every lane of a family. */
+/** A fully decoded program, shared by every point that runs it. */
 struct DecodedProgram
 {
     std::string name;
@@ -131,15 +131,18 @@ decodeStream(const std::string &name,
 /**
  * Process-wide decode cache, keyed on the shared stream object (the
  * held `raw` pointer keeps the key address alive). Extends the
- * makeProgram() stream cache from shared bytes to shared decode: a
- * 16-lane family decodes each program once, as does every later
- * batch over the same cached stream.
+ * makeProgram() stream cache from shared bytes to shared decode:
+ * every point over the same cached stream decodes it once. Bounded
+ * like that cache (each entry pins its raw stream too): a full cache
+ * is cleared wholesale, and lanes hold their own reference, so a
+ * clear never frees a decode in use.
  */
 std::shared_ptr<const DecodedProgram>
 decodedProgram(const InstructionSource &source)
 {
     auto raw = source.sharedStream();
     MTV_ASSERT(raw);
+    constexpr size_t maxCachedDecodes = 64;
     static std::mutex mutex;
     static std::unordered_map<const void *,
                               std::shared_ptr<const DecodedProgram>>
@@ -154,6 +157,8 @@ decodedProgram(const InstructionSource &source)
     // a racing duplicate decode is identical, last insert wins.
     auto prog = decodeStream(source.name(), std::move(raw));
     std::lock_guard<std::mutex> lock(mutex);
+    if (cache.size() >= maxCachedDecodes)
+        cache.clear();
     return cache[prog->raw.get()] = prog;
 }
 
@@ -185,9 +190,9 @@ struct FastContext
 
 /** Machines the fast lane's specialization covers exactly. Bounded
  *  renaming (renameDepth > 0) is excluded like decoupling: both add
- *  per-context pool state the SoA lockstep loop does not model, so
- *  such points take the per-point generic (Event) fallback. Infinite-
- *  pool renaming and multi-port memory are handled natively. */
+ *  per-context pool state the SoA fast lane does not model, so such
+ *  points take the generic (Event) fallback. Infinite-pool renaming
+ *  and multi-port memory are handled natively. */
 bool
 fastLaneShape(const MachineParams &params)
 {
@@ -196,8 +201,7 @@ fastLaneShape(const MachineParams &params)
 }
 
 /**
- * One point's machine, advanced one event step at a time so the
- * lockstep driver can interleave K of them. Equivalent to
+ * One point's machine, run to completion by run(). Equivalent to
  * VectorSim(params, SimKernel::Event) on the same point.
  */
 class FastLane
@@ -268,30 +272,21 @@ class FastLane
         finished_ = done(now_);
     }
 
-    bool finished() const { return finished_; }
-    uint64_t now() const { return now_; }
-
-    /**
-     * Advance until the local clock passes @p stop (or the run ends).
-     * Always takes at least one step, so a caller that hands each
-     * lane the second-lowest clock in the batch keeps the lanes in
-     * approximate lockstep without paying the driver shell per step.
-     */
-    void
-    advanceUntil(uint64_t stop)
+    /** Simulate to the end of the run; throws SimError when wedged. */
+    SimStats
+    run()
     {
-        MTV_ASSERT(!finished_);
         if (contexts_.size() == 1) {
-            do {
+            while (!finished_)
                 advanceSingle();
-            } while (!finished_ && now_ <= stop);
         } else {
-            do {
+            while (!finished_)
                 advanceMulti();
-            } while (!finished_ && now_ <= stop);
         }
+        return takeStats();
     }
 
+  private:
     /** One iteration of the event-kernel loop (see runEvent()). */
     void
     advanceMulti()
@@ -410,7 +405,6 @@ class FastLane
         return stats;
     }
 
-  private:
     // --- the deferred joint-state histogram ---
 
     /** The ports serving @p d (the portsFor() split, pre-resolved). */
@@ -1317,106 +1311,38 @@ runGenericPoint(const BatchPoint &point)
     fatal("unreachable batch point kind");
 }
 
-} // namespace
-
-// ---------------------------------------------------------------------
-// The lockstep driver
-// ---------------------------------------------------------------------
-
-namespace
+/** One point to completion: its fast lane, or the generic fallback
+ *  when the machine or a source (no shared stream) is out of shape. */
+SimStats
+runPoint(const BatchPoint &point)
 {
-/**
- * Minimum stride per lane pick, in simulated cycles. Event-step
- * interleaving is only a locality heuristic — lanes are independent —
- * and fine-grained switching costs more (cold branch-predictor and
- * cache state per switch) than marching together saves, so each lane
- * catches up in generous spans.
- */
-constexpr uint64_t kCatchUpSpan = 100000;
+    if (!fastLaneShape(point.params))
+        return runGenericPoint(point);
+    std::vector<std::shared_ptr<const DecodedProgram>> programs;
+    programs.reserve(point.sources.size());
+    for (const InstructionSource *source : point.sources) {
+        if (!source->sharedStream())
+            return runGenericPoint(point);
+        programs.push_back(decodedProgram(*source));
+    }
+    return FastLane(point, std::move(programs)).run();
+}
+
 } // namespace
 
 std::vector<BatchResult>
 runBatch(const std::vector<BatchPoint> &points)
 {
-    std::vector<BatchResult> results(points.size());
-    std::vector<std::unique_ptr<FastLane>> lanes(points.size());
-
-    // Partition: fast lanes for eligible points, the event kernel for
-    // the rest (also run here so a mixed batch stays one call).
-    std::vector<size_t> live;
-    for (size_t i = 0; i < points.size(); ++i) {
-        const BatchPoint &point = points[i];
+    for (const BatchPoint &point : points) {
         point.params.validate();
         validatePoint(point);
-        bool fast = fastLaneShape(point.params);
-        std::vector<std::shared_ptr<const DecodedProgram>> programs;
-        if (fast) {
-            programs.reserve(point.sources.size());
-            for (const InstructionSource *source : point.sources) {
-                if (!source->sharedStream()) {
-                    fast = false;
-                    break;
-                }
-                programs.push_back(decodedProgram(*source));
-            }
-        }
+    }
+    std::vector<BatchResult> results(points.size());
+    for (size_t i = 0; i < points.size(); ++i) {
         try {
-            if (fast) {
-                lanes[i] = std::make_unique<FastLane>(
-                    point, std::move(programs));
-                if (lanes[i]->finished())
-                    results[i].stats = lanes[i]->takeStats();
-                else
-                    live.push_back(i);
-            } else {
-                results[i].stats = runGenericPoint(point);
-            }
+            results[i].stats = runPoint(points[i]);
         } catch (const SimError &) {
             results[i].error = std::current_exception();
-        }
-        if (results[i].error || !lanes[i] || lanes[i]->finished())
-            lanes[i].reset();
-    }
-
-    // Lockstep: repeatedly pick the lane with the minimum local clock
-    // and advance it until it passes the second-lowest clock. Lanes
-    // share read-only decode state only, so each finishes
-    // bit-identical to a solo run; the min-reduction just orders the
-    // interleaving (and keeps the working set of the K machines
-    // marching through the same program region together), while the
-    // until-second-clock stride amortizes the reduction itself.
-    while (!live.empty()) {
-        size_t best = 0;
-        uint64_t bestNow = lanes[live[0]]->now();
-        uint64_t secondNow = UINT64_MAX;
-        for (size_t k = 1; k < live.size(); ++k) {
-            const uint64_t laneNow = lanes[live[k]]->now();
-            if (laneNow < bestNow) {
-                secondNow = bestNow;
-                bestNow = laneNow;
-                best = k;
-            } else {
-                secondNow = std::min(secondNow, laneNow);
-            }
-        }
-        const size_t index = live[best];
-        FastLane &lane = *lanes[index];
-        bool reap = false;
-        try {
-            lane.advanceUntil(
-                std::max(secondNow, lane.now() + kCatchUpSpan));
-            if (lane.finished()) {
-                results[index].stats = lane.takeStats();
-                reap = true;
-            }
-        } catch (const SimError &) {
-            results[index].error = std::current_exception();
-            reap = true;
-        }
-        if (reap) {
-            lanes[index].reset();
-            live[best] = live.back();
-            live.pop_back();
         }
     }
     return results;

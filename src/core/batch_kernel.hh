@@ -1,38 +1,30 @@
 /**
  * @file
- * The batched lockstep kernel (SimKernel::Batched): run K sweep
- * points — near-identical machines over the same programs — in one
- * kernel instance, amortizing the per-point costs the event kernel
- * still pays K times.
- *
- * Three layers (DESIGN.md section 1.3):
+ * The fast-lane kernel (SimKernel::Batched): each point runs to
+ * completion on a specialized fast lane, over programs decoded once
+ * and shared by every point that runs them (DESIGN.md section 1.3).
  *
  *  - DecodedProgram: the per-instruction work that depends only on
  *    the instruction stream — functional-unit class, operand/bank
  *    indices, clamped vector length, operand validation — hoisted out
- *    of the per-cycle loop and cached process-wide, so a family of K
- *    points decodes its programs exactly once (the makeProgram stream
- *    cache extended from shared bytes to shared decode).
+ *    of the per-cycle loop and cached process-wide next to the
+ *    makeProgram() stream cache, with the same 64-entry bound.
  *
- *  - A fast lane per point: a transliteration of the event kernel
+ *  - The fast lane: a transliteration of the event kernel
  *    (VectorSim::runEvent + DispatchUnit plan/commit/wakeups)
  *    specialized to the machines sweeps actually run — one decode
- *    slot, no decoupled slip window — with per-lane precomputed
- *    latencies. State is structure-of-arrays point-major: each lane
- *    owns flat context blocks (scoreboards, bank ports, blocked[]
- *    reasons) with no per-cycle allocation. Points outside the fast
- *    lane's shape (dual-scalar, decode width > 1, decoupled) fall
- *    back to a plain VectorSim(Event) inside the batch — slower,
- *    never wrong.
+ *    slot, no decoupled slip window — with precomputed latencies,
+ *    flat structure-of-arrays context blocks (scoreboards, bank
+ *    ports, blocked[] reasons) and no per-cycle allocation. A blocked
+ *    single-context lane jumps straight to the threshold of its
+ *    first-failing dispatch check. Points outside the fast lane's
+ *    shape (dual-scalar, decode width > 1, decoupled, bounded
+ *    renaming) run through a plain VectorSim(Event) — slower, never
+ *    wrong.
  *
- *  - The lockstep driver: all lanes advance through one loop that
- *    repeatedly picks the lane with the minimum local clock
- *    (min-reduction over the lane-now array) and advances it one
- *    event step; a lane whose next event is far away catches up in
- *    bulk through the PR 3 span machinery it inherits. Lanes share
- *    read-only decode state but no mutable state, so per-point
- *    results are bit-identical to single-point runs — the invariant
- *    the golden digests pin.
+ * Points share read-only decode state only, so every result is
+ * bit-identical to the same point under the other kernels — the
+ * invariant the golden digests pin.
  */
 
 #ifndef MTV_CORE_BATCH_KERNEL_HH
@@ -48,7 +40,7 @@
 namespace mtv
 {
 
-/** One sweep point of a batch: a machine plus its run request. */
+/** One point: a machine plus its run request. */
 struct BatchPoint
 {
     MachineParams params;
@@ -72,7 +64,7 @@ struct BatchPoint
 
 /**
  * Outcome of one point. A wedged machine (SimError) fails only its
- * own point; batchmates complete normally.
+ * own point; the other points complete normally.
  */
 struct BatchResult
 {
@@ -81,10 +73,11 @@ struct BatchResult
 };
 
 /**
- * Simulate every point, lockstep where eligible. Results are indexed
- * like @p points and each is bit-identical to the same point run
- * through SimKernel::Event. fatal()s on malformed points (the same
- * user errors the VectorSim entry points reject).
+ * Simulate every point, one after another, each to completion.
+ * Results are indexed like @p points and each is bit-identical to the
+ * same point run through SimKernel::Event. fatal()s on malformed
+ * points (the same user errors the VectorSim entry points reject)
+ * before simulating any.
  */
 std::vector<BatchResult> runBatch(const std::vector<BatchPoint> &points);
 

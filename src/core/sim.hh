@@ -89,10 +89,9 @@ enum class SimKernel : uint8_t
     /** Cycle-stepped: evaluate decode every cycle (the reference). */
     Stepped,
     /**
-     * Lockstep batch driver (src/core/batch_kernel.hh): runs K sweep
-     * points in one kernel instance over pre-decoded programs. On a
-     * VectorSim it simulates its single point through the same fast
-     * lane; the K-way win comes from ExperimentEngine coalescing.
+     * Fast lane (src/core/batch_kernel.hh): the event kernel
+     * specialized to one decode slot, over programs decoded once and
+     * shared process-wide; out-of-shape machines fall back to Event.
      * Bit-identical to Event/Stepped (tests/test_golden.cc).
      */
     Batched

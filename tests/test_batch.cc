@@ -1,17 +1,14 @@
 /**
  * @file
- * Tests for the batched-kernel coalescing layer (src/api/engine.cc
- * with EngineOptions::kernel == SimKernel::Batched): family-signature
- * grouping, runAll()/submit() coalescing into lockstep runBatch()
- * calls, per-point cancellation splitting, and the bit-identity of
- * coalesced results against single-point and event-kernel runs (the
- * invariant tests/test_golden.cc pins with digests; here pinned
- * field-for-field with the stats codec).
+ * Tests for the fast-lane kernel (SimKernel::Batched) through the
+ * engine: bit-identity of its results against event-kernel runs and
+ * across worker counts (the invariant tests/test_golden.cc pins with
+ * digests; here pinned field-for-field with the stats codec), and the
+ * bound on its process-wide decode cache.
  */
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,11 +33,10 @@ floAtLatency(int latency, uint64_t maxInstructions = 0)
 }
 
 EngineOptions
-batchedOptions(int workers = 1, int width = 16)
+batchedOptions(int workers = 1)
 {
     EngineOptions options(workers);
     options.kernel = SimKernel::Batched;
-    options.batchWidth = width;
     return options;
 }
 
@@ -51,47 +47,11 @@ expectIdenticalStats(const SimStats &a, const SimStats &b)
     EXPECT_EQ(serializeSimStats(a), serializeSimStats(b));
 }
 
-// ---------------------------------------------------------------------
-// Family signatures
-// ---------------------------------------------------------------------
-
-TEST(BatchEngine, FamilySignatureGroupsSweepFamilies)
-{
-    // Machine parameters and the fetch budget vary *within* a sweep
-    // family, so the signature must ignore them...
-    EXPECT_EQ(ExperimentEngine::familySignature(floAtLatency(1)),
-              ExperimentEngine::familySignature(floAtLatency(100)));
-    EXPECT_EQ(ExperimentEngine::familySignature(floAtLatency(1)),
-              ExperimentEngine::familySignature(floAtLatency(1, 500)));
-    MachineParams dual = MachineParams::fujitsuDualScalar();
-    EXPECT_EQ(ExperimentEngine::familySignature(floAtLatency(1)),
-              ExperimentEngine::familySignature(
-                  RunSpec::single("flo52", dual, testScale)));
-
-    // ...while program, scale, and mode all split families.
-    const MachineParams ref = MachineParams::reference();
-    EXPECT_NE(ExperimentEngine::familySignature(floAtLatency(1)),
-              ExperimentEngine::familySignature(
-                  RunSpec::single("dyfesm", ref, testScale)));
-    EXPECT_NE(ExperimentEngine::familySignature(floAtLatency(1)),
-              ExperimentEngine::familySignature(
-                  RunSpec::single("flo52", ref, 2 * testScale)));
-    EXPECT_NE(
-        ExperimentEngine::familySignature(floAtLatency(1)),
-        ExperimentEngine::familySignature(RunSpec::jobQueue(
-            {"flo52"}, MachineParams::crayStyle(2), testScale)));
-}
-
-// ---------------------------------------------------------------------
-// runAll coalescing
-// ---------------------------------------------------------------------
-
 TEST(BatchEngine, RunAllMixedFamiliesMatchEventReference)
 {
     // Two interleaved families plus the awkward members: a
-    // fetch-truncated point (cache-exempt but still batchable) and a
-    // dual-scalar machine (outside the lockstep fast lane, simulated
-    // through the in-batch fallback).
+    // fetch-truncated point (cache-exempt) and a dual-scalar machine
+    // (outside the fast lane, simulated through the Event fallback).
     MachineParams dyf1 = MachineParams::reference();
     dyf1.memLatency = 1;
     MachineParams dyf20 = MachineParams::reference();
@@ -110,10 +70,6 @@ TEST(BatchEngine, RunAllMixedFamiliesMatchEventReference)
 
     ExperimentEngine batched(batchedOptions());
     const auto results = batched.runAll(specs);
-    // flo52 family: 6 points in one batch; dyfesm family: 2 in
-    // another.
-    EXPECT_EQ(batched.batchesExecuted(), 2u);
-    EXPECT_EQ(batched.batchedPoints(), 8u);
 
     ExperimentEngine reference;  // event kernel, spec at a time
     ASSERT_EQ(results.size(), specs.size());
@@ -124,35 +80,14 @@ TEST(BatchEngine, RunAllMixedFamiliesMatchEventReference)
     }
 }
 
-TEST(BatchEngine, RunAllBatchWidthIsDeterministic)
-{
-    std::vector<RunSpec> specs;
-    for (int i = 0; i < 16; ++i)
-        specs.push_back(floAtLatency(1 + i));
-
-    ExperimentEngine wide(batchedOptions());
-    wide.runAll(specs);
-    EXPECT_EQ(wide.batchesExecuted(), 1u);
-    EXPECT_EQ(wide.batchedPoints(), 16u);
-    EXPECT_EQ(wide.batchWidth(), 16u);
-
-    // Width 1 disables coalescing entirely: every point runs as its
-    // own single-point batch through execute().
-    ExperimentEngine narrow(batchedOptions(1, 1));
-    narrow.runAll(specs);
-    EXPECT_EQ(narrow.batchesExecuted(), 0u);
-    EXPECT_EQ(narrow.batchedPoints(), 0u);
-    EXPECT_EQ(narrow.batchWidth(), 1u);
-}
-
-TEST(BatchEngine, CoalescedStatsBitIdenticalToSinglePointRuns)
+TEST(BatchEngine, FourWorkersBitIdenticalToOne)
 {
     std::vector<RunSpec> specs;
     for (const int latency : {1, 20, 40, 50, 60, 80, 100})
         specs.push_back(floAtLatency(latency));
 
-    ExperimentEngine wide(batchedOptions(4, 16));
-    ExperimentEngine narrow(batchedOptions(1, 1));
+    ExperimentEngine wide(batchedOptions(4));
+    ExperimentEngine narrow(batchedOptions(1));
     const auto a = wide.runAll(specs);
     const auto b = narrow.runAll(specs);
     ASSERT_EQ(a.size(), b.size());
@@ -160,68 +95,23 @@ TEST(BatchEngine, CoalescedStatsBitIdenticalToSinglePointRuns)
         expectIdenticalStats(a[i].stats, b[i].stats);
 }
 
-// ---------------------------------------------------------------------
-// submit() coalescing and per-point cancellation
-// ---------------------------------------------------------------------
-
-/**
- * Parks a 1-worker engine behind a spec whose completion hook blocks
- * until release(), so everything submitted afterwards is staged
- * together (the test_api.cc WorkerGate, on the batched engine).
- */
-class BatchWorkerGate
+TEST(BatchKernel, DecodeCacheReleasesStreamsUnderScaleChurn)
 {
-  public:
-    explicit BatchWorkerGate(ExperimentEngine &engine)
-    {
-        MachineParams params = MachineParams::reference();
-        params.memLatency = 199;  // distinct from every other spec
-        std::shared_future<void> released =
-            gate_.get_future().share();
-        done_ = engine.submit(
-            RunSpec::single("trfd", params, testScale),
-            [released](const RunResult &) { released.wait(); });
-    }
-
-    void
-    release()
-    {
-        gate_.set_value();
-        done_.get();
-    }
-
-  private:
-    std::promise<void> gate_;
-    std::future<RunResult> done_;
-};
-
-TEST(BatchEngine, SubmitCoalescesFamilyAndSplitsCancellation)
-{
-    ExperimentEngine engine(batchedOptions());
-    BatchWorkerGate gate(engine);
-
-    // One pre-cancelled point staged between two live family-mates:
-    // the drain must batch all three, fail only the cancelled one,
-    // and serve the survivors from the shared lockstep run.
-    auto token = std::make_shared<CancelToken>();
-    token->cancel();
-    auto live = engine.submit(floAtLatency(1));
-    auto cancelled = engine.submit(floAtLatency(20), nullptr, token);
-    auto alsoLive = engine.submit(floAtLatency(40));
-    gate.release();
-
-    EXPECT_THROW(cancelled.get(), CancelledError);
-    EXPECT_EQ(engine.cancelledRuns(), 1u);
-    // The gate spec simulated alone; the two survivors shared one
-    // batch (the cancelled point never reached the kernel).
-    EXPECT_EQ(engine.batchesExecuted(), 2u);
-    EXPECT_EQ(engine.batchedPoints(), 3u);
-
-    ExperimentEngine reference;
-    expectIdenticalStats(live.get().stats,
-                         reference.run(floAtLatency(1)).stats);
-    expectIdenticalStats(alsoLive.get().stats,
-                         reference.run(floAtLatency(40)).stats);
+    // A long-lived daemon fed a new scale per request must not pin
+    // every stream it ever decoded: once the makeProgram() stream
+    // cache and the decode cache have both cycled past a stream,
+    // only its outside holders keep it alive.
+    const MachineParams params = MachineParams::reference();
+    const auto runAt = [&params](double scale) {
+        VectorSim sim(params, SimKernel::Batched);
+        sim.runSingle(*makeProgram("flo52", scale));
+    };
+    const auto held = makeProgram("flo52", testScale)->sharedStream();
+    ASSERT_TRUE(held);
+    runAt(testScale);
+    for (int i = 1; i <= 130; ++i)
+        runAt(testScale * (1.0 + 0.001 * i));
+    EXPECT_EQ(held.use_count(), 1);
 }
 
 } // namespace
