@@ -1,13 +1,6 @@
 #include "src/fleet/fleet_service.hh"
 
-#include <cerrno>
-#include <chrono>
-#include <cstring>
 #include <map>
-
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include "src/common/logging.hh"
 #include "src/common/strutil.hh"
@@ -19,22 +12,6 @@ namespace mtv
 namespace
 {
 
-Json
-errorJson(const std::string &message)
-{
-    Json j = Json::object();
-    j.set("error", message);
-    return j;
-}
-
-Json
-requestErrorJson(uint64_t id, const std::string &message)
-{
-    Json j = errorJson(message);
-    j.set("id", id);
-    return j;
-}
-
 /**
  * Re-orders the fleet's arrival-order point stream back into global
  * submission order for one client: seq = global index, parked until
@@ -44,10 +21,9 @@ requestErrorJson(uint64_t id, const std::string &message)
 class OrderedEmitter
 {
   public:
-    OrderedEmitter(LineChannel &channel, uint64_t id, bool quiet,
-                   WireFormat wire)
-        : channel_(channel), id_(id), quiet_(quiet),
-          binary_(wire == WireFormat::Binary)
+    OrderedEmitter(Connection &connection, uint64_t id, bool quiet)
+        : connection_(connection), id_(id), quiet_(quiet),
+          binary_(connection.wire() == WireFormat::Binary)
     {
     }
 
@@ -70,7 +46,7 @@ class OrderedEmitter
         blobs_[global] = blob;
         while (nextEmit_ < ready_.size() && ready_[nextEmit_]) {
             const size_t seq = nextEmit_++;
-            if (writeFailed_)
+            if (connection_.writeFailed())
                 continue;
             if (binary_) {
                 // Re-framed, not re-encoded: the blob bytes a node
@@ -80,14 +56,12 @@ class OrderedEmitter
                 std::string frame;
                 appendResultFrame(&frame, results_[seq], id_, seq,
                                   quiet_ ? nullptr : &blobs_[seq]);
-                if (!channel_.writeBytes(frame))
-                    writeFailed_ = true;
+                connection_.writeFrameBytes(frame);
             } else {
                 const Json line = resultToJson(
                     results_[seq], id_, seq,
                     /*includeBlob=*/!quiet_, &blobs_[seq]);
-                if (!channel_.writeLine(line.dump()))
-                    writeFailed_ = true;
+                connection_.write(line.dump());
             }
             // Emitted points are not needed again (the router holds
             // its own copies for the final fold).
@@ -95,8 +69,6 @@ class OrderedEmitter
             blobs_[seq].clear();
         }
     }
-
-    bool writeFailed() const { return writeFailed_; }
 
     /** The terminator, with the fleet extras the smoke test greps. */
     bool
@@ -120,11 +92,11 @@ class OrderedEmitter
                 dead.push(name);
             done.set("deadNodes", std::move(dead));
         }
-        return channel_.writeLine(done.dump());
+        return connection_.write(done.dump());
     }
 
   private:
-    LineChannel &channel_;
+    Connection &connection_;
     uint64_t id_;
     bool quiet_;
     bool binary_;
@@ -132,309 +104,16 @@ class OrderedEmitter
     std::vector<RunResult> results_;
     std::vector<std::string> blobs_;
     size_t nextEmit_ = 0;
-    bool writeFailed_ = false;
 };
 
-} // namespace
-
-FleetService::FleetService(FleetServiceOptions options)
-    : router_(options.nodes, options.fleet)
-{
-    socketPath_ = options.socketPath.empty() ? defaultSocketPath()
-                                             : options.socketPath;
-
-    // Same stale-socket policy as MtvService: only a *connectable*
-    // socket means a live daemon; a leftover file is unlinked.
-    std::string connectError;
-    const int probe = connectToDaemon(socketPath_, &connectError);
-    if (probe >= 0) {
-        ::close(probe);
-        fatal("another mtvd is already serving '%s'",
-              socketPath_.c_str());
-    }
-    ::unlink(socketPath_.c_str());
-
-    Listener unixListener;
-    unixListener.endpoint = Endpoint::unixSocket(socketPath_);
-    unixListener.fd =
-        listenOnEndpoint(unixListener.endpoint, nullptr);
-    listeners_.push_back(unixListener);
-
-    if (!options.tcpHost.empty()) {
-        Listener tcpListener;
-        tcpListener.fd = listenOnEndpoint(
-            Endpoint::tcp(options.tcpHost, options.tcpPort),
-            &tcpListener.endpoint);
-        tcpPort_ = tcpListener.endpoint.port;
-        listeners_.push_back(tcpListener);
-    }
-}
-
-FleetService::~FleetService()
-{
-    stop();
-    teardownClients();
-    router_.stopHealthMonitor();
-    for (const Listener &listener : listeners_) {
-        if (listener.fd >= 0)
-            ::close(listener.fd);
-    }
-    ::unlink(socketPath_.c_str());
-}
-
-void
-FleetService::joinFinishedLocked()
-{
-    for (auto &thread : finishedClients_)
-        thread.join();
-    finishedClients_.clear();
-}
-
-void
-FleetService::teardownClients()
-{
-    // Joins happen OUTSIDE clientsMutex_: a connection thread's last
-    // act is to lock it and retire its own handle.
-    std::vector<std::thread> threads;
-    {
-        std::lock_guard<std::mutex> lock(clientsMutex_);
-        for (auto &client : activeClients_) {
-            ::shutdown(client.first, SHUT_RDWR);
-            threads.push_back(std::move(client.second));
-        }
-        activeClients_.clear();
-        for (auto &thread : finishedClients_)
-            threads.push_back(std::move(thread));
-        finishedClients_.clear();
-    }
-    for (auto &thread : threads)
-        thread.join();
-}
-
-void
-FleetService::stop()
-{
-    // Async-signal-safe (mtvd wires this to SIGTERM/SIGINT): flag +
-    // shutdown only.
-    stopping_.store(true);
-    for (const Listener &listener : listeners_) {
-        if (listener.fd >= 0)
-            ::shutdown(listener.fd, SHUT_RDWR);
-    }
-}
-
-void
-FleetService::serve()
-{
-    for (const Listener &listener : listeners_) {
-        inform("mtvd: routing for %zu nodes, listening on %s",
-               router_.nodeCount(),
-               listener.endpoint.describe().c_str());
-    }
-    // Dead nodes are discovered between requests too, not only when
-    // a scatter trips over them.
-    router_.startHealthMonitor();
-
-    std::vector<pollfd> fds;
-    fds.reserve(listeners_.size());
-    for (const Listener &listener : listeners_)
-        fds.push_back(pollfd{listener.fd, POLLIN, 0});
-    while (!stopping_.load()) {
-        for (pollfd &p : fds)
-            p.revents = 0;
-        const int ready = ::poll(fds.data(), fds.size(), 500);
-        if (stopping_.load())
-            break;
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (ready == 0)
-            continue;
-        for (size_t i = 0; i < fds.size(); ++i) {
-            if (!(fds[i].revents & (POLLIN | POLLERR | POLLHUP)))
-                continue;
-            const int fd = ::accept(listeners_[i].fd, nullptr,
-                                    nullptr);
-            if (fd < 0) {
-                if (stopping_.load())
-                    break;
-                if (errno == EMFILE || errno == ENFILE ||
-                    errno == ECONNABORTED || errno == EPROTO) {
-                    warn("mtvd: accept failed: %s — retrying",
-                         std::strerror(errno));
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(100));
-                }
-                continue;
-            }
-            std::lock_guard<std::mutex> lock(clientsMutex_);
-            joinFinishedLocked();
-            activeClients_.emplace(
-                fd,
-                std::thread([this, fd] { handleConnection(fd); }));
-        }
-    }
-
-    router_.stopHealthMonitor();
-    teardownClients();
-}
-
-void
-FleetService::handleConnection(int fd)
-{
-    LineChannel channel(fd);
-    WireFormat wire = WireFormat::Json;
-    std::string line;
-    while (!stopping_.load()) {
-        const LineChannel::MessageKind kind =
-            channel.readMessage(&line);
-        if (kind == LineChannel::MessageKind::Eof)
-            break;
-        if (kind != LineChannel::MessageKind::Line) {
-            // Frames flow router->client only; same policy as a
-            // regular daemon — one structured error, clean close.
-            Json err = errorJson(
-                "binary frame on the request channel");
-            err.set("badFrame", true);
-            channel.writeLine(err.dump());
-            break;
-        }
-        if (line.empty())
-            continue;
-        Json request;
-        std::string parseError;
-        if (!Json::parse(line, &request, &parseError)) {
-            if (!channel.writeLine(errorJson(parseError).dump()))
-                break;
-            continue;
-        }
-        if (!handleRequest(request, channel, wire))
-            break;
-    }
-    // Hand our own thread handle to the finished list; during
-    // teardown the entry may already be gone (the teardown side owns
-    // it then).
-    std::lock_guard<std::mutex> lock(clientsMutex_);
-    auto self = activeClients_.find(fd);
-    if (self != activeClients_.end()) {
-        finishedClients_.push_back(std::move(self->second));
-        activeClients_.erase(self);
-    }
-}
-
+/**
+ * "metrics": every live node's registry gathered per-node, plus the
+ * router's own registry and fleet-wide counter totals. Prom
+ * exposition is per-node; nothing to forward.
+ */
 bool
-FleetService::handleRequest(const Json &request, LineChannel &channel,
-                            WireFormat &wire)
+handleMetrics(FleetRouter &router, Connection &connection)
 {
-    try {
-        // Client input (and downstream-node fatality: a fleet with
-        // zero live nodes left) reports through fatal(); either must
-        // answer this client, not kill the router.
-        ScopedFatalAsException fatalScope;
-        const std::string op = request.getString("op");
-        if (op == "hello") {
-            // Same negotiation a regular daemon offers: the router
-            // is transparent, so a client negotiating binary gets
-            // frames regardless of what the downstream nodes speak.
-            const std::string wanted =
-                request.has("wire") ? request.getString("wire")
-                                    : "json";
-            if (wanted != "json" && wanted != "binary") {
-                return channel.writeLine(
-                    errorJson("unknown wire format '" + wanted +
-                              "' (expected json or binary)")
-                        .dump());
-            }
-            wire = wanted == "binary" ? WireFormat::Binary
-                                      : WireFormat::Json;
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("hello", true);
-            ok.set("wire", wanted);
-            ok.set("protocol", serviceProtocolVersion);
-            return channel.writeLine(ok.dump());
-        }
-        if (op == "ping") {
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("pong", true);
-            ok.set("protocol", serviceProtocolVersion);
-            ok.set("fleet", true);
-            ok.set("nodes",
-                   static_cast<uint64_t>(router_.nodeCount()));
-            ok.set("alive",
-                   static_cast<uint64_t>(router_.aliveCount()));
-            Json families = Json::array();
-            for (const SweepFamilyInfo &family : sweepFamilies())
-                families.push(family.name);
-            ok.set("sweepFamilies", std::move(families));
-            return channel.writeLine(ok.dump());
-        }
-        if (op == "status") {
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("fleet", true);
-            Json nodes = Json::array();
-            for (const FleetNodeStatus &s : router_.status()) {
-                Json node = Json::object();
-                node.set("endpoint", s.name);
-                node.set("alive", s.alive);
-                if (!s.lastError.empty())
-                    node.set("error", s.lastError);
-                node.set("served", s.pointsServed);
-                nodes.push(std::move(node));
-            }
-            ok.set("nodes", std::move(nodes));
-            return channel.writeLine(ok.dump());
-        }
-        if (op == "metrics")
-            return handleMetrics(request, channel);
-        if (op == "sweep")
-            return handleSweep(request, channel, wire);
-        if (op == "compare")
-            return handleCompare(request, channel);
-        if (op == "run")
-            return handleRun(request, channel, wire);
-        if (op == "shutdown") {
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("stopping", true);
-            channel.writeLine(ok.dump());
-            inform("mtvd: shutdown requested by client");
-            stop();
-            return false;
-        }
-        if (op == "stats" || op == "clear" || op == "cancel") {
-            // The router owns no engine: nothing to clear, no cache
-            // counters, and in-flight bookkeeping lives node-side.
-            return channel.writeLine(
-                errorJson(format("op '%s' is not served by a fleet "
-                                 "router — talk to a node directly",
-                                 op.c_str()))
-                    .dump());
-        }
-        return channel.writeLine(
-            errorJson(op.empty() ? "request names no op"
-                                 : "unknown op '" + op + "'")
-                .dump());
-    } catch (const FatalError &e) {
-        return channel.writeLine(
-            requestErrorJson(
-                request.get("id").type() == Json::Type::Number
-                    ? static_cast<uint64_t>(
-                          request.getNumber("id"))
-                    : 0,
-                e.what())
-                .dump());
-    }
-}
-
-bool
-FleetService::handleMetrics(const Json &request, LineChannel &channel)
-{
-    (void)request;  // prom exposition is per-node; nothing to forward
     Json ok = Json::object();
     ok.set("ok", true);
     ok.set("fleet", true);
@@ -446,7 +125,7 @@ FleetService::handleMetrics(const Json &request, LineChannel &channel)
     // averaging quantiles would manufacture numbers nobody measured.
     std::map<std::string, uint64_t> totals;
     Json nodes = Json::array();
-    for (const FleetNodeStatus &s : router_.status()) {
+    for (const FleetNodeStatus &s : router.status()) {
         Json node = Json::object();
         node.set("endpoint", s.name);
         if (!s.alive) {
@@ -520,28 +199,28 @@ FleetService::handleMetrics(const Json &request, LineChannel &channel)
     for (const auto &total : totals)
         totalsJson.set(total.first, total.second);
     ok.set("totals", std::move(totalsJson));
-    return channel.writeLine(ok.dump());
+    return connection.write(ok.dump());
 }
 
+/** "sweep": scatter one family and stream the folded merge,
+ *  re-ordering the nodes' arrival order back into global submission
+ *  order. */
 bool
-FleetService::handleSweep(const Json &request, LineChannel &channel,
-                          WireFormat wire)
+handleSweep(FleetRouter &router, const Request &request,
+            Connection &connection)
 {
-    const uint64_t id = request.get("id").asU64();
-    if (request.has("points")) {
+    if (request.body.has("points")) {
         // A router is not a node: the scatter path terminates here.
-        return channel.writeLine(
-            requestErrorJson(id, "a fleet router does not accept "
-                                 "point subsets")
+        return connection.write(
+            requestErrorJson(request.id, "a fleet router does not "
+                                         "accept point subsets")
                 .dump());
     }
-    const SweepRequest sweep = sweepRequestFromJson(request);
-    OrderedEmitter emitter(channel, id,
-                           request.getBool("quiet", false), wire);
+    OrderedEmitter emitter(connection, request.id,
+                           request.body.getBool("quiet", false));
 
-    bool ackOk = true;
-    const FleetOutcome outcome = router_.runSweep(
-        sweep,
+    const FleetOutcome outcome = router.runSweep(
+        request.sweep,
         [&emitter](size_t global, const RunResult &result,
                    const std::string &blob) {
             emitter.land(global, result, blob);
@@ -549,7 +228,7 @@ FleetService::handleSweep(const Json &request, LineChannel &channel,
         [&](size_t count, const std::vector<SweepSlice> &slices) {
             emitter.reset(count);
             Json ack = Json::object();
-            ack.set("id", id);
+            ack.set("id", request.id);
             ack.set("ack", true);
             ack.set("count", static_cast<uint64_t>(count));
             ack.set("total", static_cast<uint64_t>(count));
@@ -557,54 +236,32 @@ FleetService::handleSweep(const Json &request, LineChannel &channel,
             for (const SweepSlice &slice : slices)
                 sliceArray.push(sliceToJson(slice));
             ack.set("slices", std::move(sliceArray));
-            ackOk = channel.writeLine(ack.dump());
+            connection.write(ack.dump());
         });
-
-    if (!ackOk || emitter.writeFailed())
-        return false;  // the client vanished mid-stream
+    // False when the client vanished mid-stream (writes are sticky).
     return emitter.writeDone(outcome);
 }
 
+/** "compare", fleet-wide: scatter the family's expansion, gather,
+ *  fold through compareDesigns(), and answer the one aggregated
+ *  line. */
 bool
-FleetService::handleCompare(const Json &request,
-                            LineChannel &channel)
+handleCompare(FleetRouter &router, const Request &request,
+              Connection &connection)
 {
-    const uint64_t id = request.get("id").asU64();
-    const SweepRequest sweep = sweepRequestFromJson(request);
-
-    // Comparability is checked against the local expansion before
-    // any node is contacted — the expansion is deterministic, so the
-    // router's copy and every node's copy agree.
-    {
-        SweepBuilder expansion = expandSweep(sweep);
-        const std::vector<SweepSlice> &slices = expansion.slices();
-        bool comparable = slices.size() >= 2;
-        for (const SweepSlice &s : slices)
-            comparable = comparable && s.count == slices[0].count;
-        if (!comparable) {
-            Json err = requestErrorJson(
-                id, "sweep family '" + sweep.family +
-                        "' is not design-parallel and cannot be "
-                        "compared");
-            err.set("notComparable", sweep.family);
-            return channel.writeLine(err.dump());
-        }
-    }
-
     // Gather fleet-wide; the points stay router-side (no per-point
-    // stream), exactly like a single daemon's compare.
-    const FleetOutcome outcome = router_.runSweep(sweep);
+    // stream), exactly like a single daemon's compare. The front end
+    // checked the family is design-parallel.
+    const FleetOutcome outcome = router.runSweep(request.sweep);
 
     Json ok = Json::object();
-    ok.set("id", id);
+    ok.set("id", request.id);
     ok.set("ok", true);
     ok.set("compare", true);
     ok.set("fleet", true);
-    ok.set("family", sweep.family);
+    ok.set("family", request.sweep.family);
     ok.set("count", static_cast<uint64_t>(outcome.results.size()));
-    ok.set("baseline", outcome.slices.empty()
-                           ? std::string()
-                           : outcome.slices[0].label);
+    ok.set("baseline", outcome.slices[0].label);
     ok.set("simulated", outcome.simulated);
     ok.set("cacheServed", outcome.cacheServed);
     ok.set("storeServed", outcome.storeServed);
@@ -616,31 +273,120 @@ FleetService::handleCompare(const Json &request,
          compareDesigns(outcome.slices, outcome.results))
         rows.push(compareRowToJson(row));
     ok.set("rows", std::move(rows));
-    return channel.writeLine(ok.dump());
+    return connection.write(ok.dump());
 }
 
+/** "run": scatter an explicit spec batch the same way. */
 bool
-FleetService::handleRun(const Json &request, LineChannel &channel,
-                        WireFormat wire)
+handleRun(FleetRouter &router, const Request &request,
+          Connection &connection)
 {
-    const uint64_t id = request.get("id").asU64();
     std::vector<RunSpec> specs;
-    for (const Json &spec : request.get("specs").asArray())
+    for (const Json &spec : request.body.get("specs").asArray())
         specs.push_back(RunSpec::parse(spec.asString()));
-    if (specs.empty())
-        fatal("run request carries no specs");
 
-    OrderedEmitter emitter(channel, id,
-                           request.getBool("quiet", false), wire);
+    OrderedEmitter emitter(connection, request.id,
+                           request.body.getBool("quiet", false));
     emitter.reset(specs.size());
-    const FleetOutcome outcome = router_.runSpecs(
+    const FleetOutcome outcome = router.runSpecs(
         specs, [&emitter](size_t global, const RunResult &result,
                           const std::string &blob) {
             emitter.land(global, result, blob);
         });
-    if (emitter.writeFailed())
-        return false;
     return emitter.writeDone(outcome);
+}
+
+/**
+ * One connection's op table: the router behind the front end. Client
+ * input and downstream-node fatality (a fleet with zero live nodes
+ * left) report through fatal(); the front end answers either as an
+ * error line for this client.
+ */
+struct RouteSession : Session
+{
+    RouteSession(FleetRouter &router, Connection &connection)
+        : router(router), connection(connection)
+    {
+    }
+
+    bool handle(const Request &request) override;
+
+    FleetRouter &router;
+    Connection &connection;
+};
+
+bool
+RouteSession::handle(const Request &request)
+{
+    const std::string &op = request.op;
+    if (op == "ping") {
+        Json ok = Json::object();
+        ok.set("ok", true);
+        ok.set("pong", true);
+        ok.set("protocol", serviceProtocolVersion);
+        ok.set("fleet", true);
+        ok.set("nodes", static_cast<uint64_t>(router.nodeCount()));
+        ok.set("alive", static_cast<uint64_t>(router.aliveCount()));
+        ok.set("sweepFamilies", sweepFamilyNames());
+        return connection.write(ok.dump());
+    }
+    if (op == "status") {
+        Json ok = Json::object();
+        ok.set("ok", true);
+        ok.set("fleet", true);
+        Json nodes = Json::array();
+        for (const FleetNodeStatus &s : router.status()) {
+            Json node = Json::object();
+            node.set("endpoint", s.name);
+            node.set("alive", s.alive);
+            if (!s.lastError.empty())
+                node.set("error", s.lastError);
+            node.set("served", s.pointsServed);
+            nodes.push(std::move(node));
+        }
+        ok.set("nodes", std::move(nodes));
+        return connection.write(ok.dump());
+    }
+    if (op == "metrics")
+        return handleMetrics(router, connection);
+    if (op == "sweep")
+        return handleSweep(router, request, connection);
+    if (op == "compare")
+        return handleCompare(router, request, connection);
+    if (op == "run")
+        return handleRun(router, request, connection);
+    if (op == "stats" || op == "clear" || op == "cancel") {
+        // The router owns no engine: nothing to clear, no cache
+        // counters, and in-flight bookkeeping lives node-side.
+        return connection.write(
+            errorJson(format("op '%s' is not served by a fleet router "
+                             "— talk to a node directly",
+                             op.c_str()))
+                .dump());
+    }
+    return connection.write(
+        errorJson("unknown op '" + op + "'").dump());
+}
+
+} // namespace
+
+FleetService::FleetService(const FleetServiceOptions &options)
+    : router_(options.nodes, options.fleet),
+      frontEnd_(options, [this](Connection &connection) {
+          return std::make_unique<RouteSession>(router_, connection);
+      })
+{
+}
+
+void
+FleetService::serve()
+{
+    // Dead nodes are discovered between requests too, not only when
+    // a scatter trips over them.
+    router_.startHealthMonitor();
+    frontEnd_.serve(format("routing for %zu nodes", router_.nodeCount()));
+    router_.stopHealthMonitor();
+    frontEnd_.closeConnections();
 }
 
 } // namespace mtv

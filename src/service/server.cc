@@ -1,21 +1,11 @@
 #include "src/service/server.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
-#include <cstring>
 #include <map>
 #include <thread>
 #include <vector>
-
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include "src/common/logging.hh"
 #include "src/common/strutil.hh"
@@ -27,23 +17,6 @@ namespace mtv
 
 namespace
 {
-
-Json
-errorJson(const std::string &message)
-{
-    Json j = Json::object();
-    j.set("error", message);
-    return j;
-}
-
-/** An error that belongs to one multiplexed request. */
-Json
-requestErrorJson(uint64_t id, const std::string &message)
-{
-    Json j = errorJson(message);
-    j.set("id", id);
-    return j;
-}
 
 /**
  * A wedged simulation as a structured error response: the message
@@ -72,102 +45,51 @@ simErrorJson(uint64_t id, const SimError &e)
     return j;
 }
 
-/**
- * The request id, tolerating absent or malformed ids (0): the id
- * must be extractable even on the error path, where fatal() no
- * longer throws.
- */
-uint64_t
-safeRequestId(const Json &request)
-{
-    const Json &id = request.get("id");
-    if (id.type() != Json::Type::Number)
-        return 0;
-    const double v = id.asNumber();
-    if (v < 0 || v != std::floor(v) || v > 9.007199254740992e15)
-        return 0;
-    return static_cast<uint64_t>(v);
-}
-
 } // namespace
 
 /**
  * Everything one connection's read loop shares with its streaming
- * threads: the channel (writes serialized by writeMutex), the batch
- * slot accounting, and the streaming threads themselves (joined by
- * the read loop before the connection closes).
+ * threads: the connection (writes serialized by its write mutex),
+ * the engine lane, the batch slot accounting, and the streaming
+ * threads themselves (joined before the connection closes).
  */
-struct MtvService::ClientState
+struct MtvService::ClientState : Session
 {
-    ClientState(MtvService *service, int fd)
-        : service(service), channel(fd)
+    ClientState(MtvService &service, Connection &connection)
+        : service(service), connection(connection),
+          lane(service.engine_->openLane())
     {
     }
 
-    /** Thread-safe line write; false when the peer is gone. */
-    bool
-    write(const std::string &line)
+    /** The peer is gone or the daemon is stopping: cancel the
+     *  batches and drop the queued engine work, so abandoned points
+     *  free their worker slots — and the joins below are quick. */
+    ~ClientState() override
     {
-        return writeOut(line, /*frame=*/false);
-    }
-
-    /** Thread-safe write of pre-encoded frame bytes (no newline). */
-    bool
-    writeFrameBytes(const std::string &bytes)
-    {
-        return writeOut(bytes, /*frame=*/true);
-    }
-
-    bool
-    writeOut(const std::string &bytes, bool frame)
-    {
-        // Write-stall accounting covers the whole funnel: waiting on
-        // the per-connection write mutex (another stream holds it)
-        // plus the blocking send itself (slow reader, full socket
-        // buffer). Two clock reads per line, next to a syscall.
-        const uint64_t startUs = monotonicMicros();
-        bool ok;
-        {
-            std::lock_guard<std::mutex> lock(writeMutex);
-            if (writeFailed.load())
-                return false;
-            ok = frame ? channel.writeBytes(bytes)
-                       : channel.writeLine(bytes);
-            const uint64_t sent = channel.bytesWritten();
-            service->obsBytesSent_->inc(sent - lastBytesSent);
-            lastBytesSent = sent;
-            if (!ok) {
-                // Sticky: once the peer is gone, the read loop must
-                // stop admitting its pipelined requests (simulating
-                // batches nobody can receive) and close the
-                // connection. Reap immediately — every in-flight
-                // batch of this connection is now simulating for
-                // nobody.
-                writeFailed.store(true);
-                service->obsWriteFailures_->inc();
-                service->reapClient(*this);
-            }
+        service.reapClient(*this);
+        service.engine_->closeLane(lane);
+        // The streams hold references to the connection: they drain
+        // before it closes (writes to a gone peer fail fast).
+        for (auto &stream : streams) {
+            if (stream.second.joinable())
+                stream.second.join();
         }
-        service->obsWriteStallUs_->inc(monotonicMicros() - startUs);
-        return ok;
     }
 
-    MtvService *service;
-    LineChannel channel;
-    std::mutex writeMutex;
-    std::atomic<bool> writeFailed{false};
-    /** channel.bytesWritten() already fed to the byte counter
-     *  (guarded by writeMutex). */
-    uint64_t lastBytesSent = 0;
+    bool
+    handle(const Request &request) override
+    {
+        return service.handleRequest(request, *this);
+    }
 
-    /** Result-point wire format of this connection, set by the
-     *  "hello" op (the streaming threads read it per batch). */
-    std::atomic<WireFormat> wire{WireFormat::Json};
+    /** Every in-flight batch of this connection now simulates for
+     *  nobody: reap at once, not at the read loop's next turn. */
+    void peerGone() override { service.reapClient(*this); }
 
+    MtvService &service;
+    Connection &connection;
     /** This connection's engine scheduling lane. */
-    LaneId lane = ExperimentEngine::defaultLane;
-    /** Daemon-unique connection id (status reporting). */
-    uint64_t clientId = 0;
+    LaneId lane;
 
     /** Cancel tokens of the connection's admitted batches, keyed by
      *  stream id. reaped goes sticky once the peer is known gone, so
@@ -209,11 +131,11 @@ struct MtvService::ClientState
     }
 };
 
-MtvService::MtvService(ServiceOptions options)
+MtvService::MtvService(const ServiceOptions &options)
+    : frontEnd_(options, [this](Connection &connection) {
+          return std::make_unique<ClientState>(*this, connection);
+      })
 {
-    socketPath_ = options.socketPath.empty() ? defaultSocketPath()
-                                             : options.socketPath;
-
     if (!options.storeDir.empty()) {
         store_ = std::make_shared<ResultStore>(options.storeDir,
                                                options.storeShards);
@@ -248,62 +170,17 @@ MtvService::MtvService(ServiceOptions options)
     obsEncodeUs_[1][1] = reg.histogram(
         "service_encode_us{op=\"sweep\",wire=\"binary\"}");
     obsInflightBatches_ = reg.gauge("service_inflight_batches");
-    obsConnections_ = reg.gauge("service_connections");
-    obsConnectionsTotal_ = reg.counter("service_connections_total");
-    obsWriteStallUs_ = reg.counter("service_write_stall_us_total");
-    obsWriteFailures_ = reg.counter("service_write_failures_total");
-    obsBytesSent_ = reg.counter("service_bytes_sent");
-    obsBytesReceived_ = reg.counter("service_bytes_received");
-
-    // A leftover socket file from a killed daemon would block bind();
-    // only a *connectable* socket means a live daemon.
-    std::string connectError;
-    const int probe = connectToDaemon(socketPath_, &connectError);
-    if (probe >= 0) {
-        ::close(probe);
-        fatal("another mtvd is already serving '%s'",
-              socketPath_.c_str());
-    }
-    ::unlink(socketPath_.c_str());
-
-    Listener unixListener;
-    unixListener.endpoint = Endpoint::unixSocket(socketPath_);
-    unixListener.fd =
-        listenOnEndpoint(unixListener.endpoint, nullptr);
-    listeners_.push_back(unixListener);
-
-    if (!options.tcpHost.empty()) {
-        Listener tcpListener;
-        tcpListener.fd = listenOnEndpoint(
-            Endpoint::tcp(options.tcpHost, options.tcpPort),
-            &tcpListener.endpoint);
-        tcpPort_ = tcpListener.endpoint.port;
-        listeners_.push_back(tcpListener);
-    }
 }
 
 MtvService::~MtvService()
 {
     stop();
-    // serve() may never have run; make teardown idempotent here.
-    teardownClients();
-    for (const Listener &listener : listeners_) {
-        if (listener.fd >= 0)
-            ::close(listener.fd);
-    }
-    ::unlink(socketPath_.c_str());
+    // serve() may never have run; teardown is idempotent.
+    teardown();
 }
 
 void
-MtvService::reapFinishedLocked()
-{
-    for (auto &thread : finishedClients_)
-        thread.join();
-    finishedClients_.clear();
-}
-
-void
-MtvService::teardownClients()
+MtvService::teardown()
 {
     // Bound shutdown latency: queued-but-unstarted engine work is
     // dropped (its futures break, which the streaming threads treat
@@ -314,176 +191,15 @@ MtvService::teardownClients()
         inform("mtvd: dropped %zu queued runs at shutdown",
                dropped);
     }
-    std::vector<std::thread> threads;
-    {
-        std::lock_guard<std::mutex> lock(clientsMutex_);
-        for (auto &client : activeClients_) {
-            ::shutdown(client.first, SHUT_RDWR);
-            threads.push_back(std::move(client.second));
-        }
-        activeClients_.clear();
-        for (auto &thread : finishedClients_)
-            threads.push_back(std::move(thread));
-        finishedClients_.clear();
-    }
-    for (auto &thread : threads)
-        thread.join();
+    frontEnd_.closeConnections();
 }
 
 void
 MtvService::serve()
 {
-    for (const Listener &listener : listeners_) {
-        inform("mtvd: listening on %s (%d workers%s)",
-               listener.endpoint.describe().c_str(),
-               engine_->workers(),
-               store_ ? ", persistent store" : "");
-    }
-    // One accept loop over every listener (unix + TCP): poll for a
-    // readable listening socket, accept, hand the connection its
-    // thread. Both transports feed the identical per-connection
-    // protocol path.
-    std::vector<pollfd> fds;
-    fds.reserve(listeners_.size());
-    for (const Listener &listener : listeners_)
-        fds.push_back(pollfd{listener.fd, POLLIN, 0});
-    while (!stopping_.load()) {
-        for (pollfd &p : fds)
-            p.revents = 0;
-        const int ready = ::poll(fds.data(), fds.size(), 500);
-        if (stopping_.load())
-            break;
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            break;  // the listen set is genuinely broken
-        }
-        if (ready == 0)
-            continue;
-        for (size_t i = 0; i < fds.size(); ++i) {
-            if (!(fds[i].revents & (POLLIN | POLLERR | POLLHUP)))
-                continue;
-            const int fd = ::accept(listeners_[i].fd, nullptr,
-                                    nullptr);
-            if (fd < 0) {
-                if (stopping_.load())
-                    break;
-                if (errno == EINTR || errno == EAGAIN ||
-                    errno == EWOULDBLOCK) {
-                    continue;
-                }
-                if (errno == EMFILE || errno == ENFILE ||
-                    errno == ECONNABORTED || errno == EPROTO) {
-                    // Transient pressure (fd exhaustion, aborted
-                    // handshake) must not take the shared daemon
-                    // down; back off and keep serving.
-                    warn("mtvd: accept failed: %s — retrying",
-                         std::strerror(errno));
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(100));
-                    continue;
-                }
-                continue;
-            }
-            if (listeners_[i].endpoint.kind == Endpoint::Kind::Tcp) {
-                // Nagle would stall every small response line by up
-                // to 40ms; the protocol is latency-bound lines.
-                int one = 1;
-                ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                             sizeof(one));
-            }
-            std::lock_guard<std::mutex> lock(clientsMutex_);
-            reapFinishedLocked();  // no dead-thread accumulation
-            activeClients_.emplace(
-                fd,
-                std::thread([this, fd] { handleConnection(fd); }));
-        }
-    }
-
-    // Teardown on the serve thread: kick every open connection, then
-    // wait for its thread to finish cleanly.
-    teardownClients();
-}
-
-void
-MtvService::stop()
-{
-    // Kept async-signal-safe (mtvd calls this from SIGTERM/SIGINT):
-    // flag + shutdown only; joining happens on the serve() thread.
-    stopping_.store(true);
-    for (const Listener &listener : listeners_) {
-        if (listener.fd >= 0)
-            ::shutdown(listener.fd, SHUT_RDWR);
-    }
-}
-
-void
-MtvService::handleConnection(int fd)
-{
-    ClientState client(this, fd);
-    client.clientId = nextClientId_.fetch_add(1);
-    client.lane = engine_->openLane();
-    obsConnections_->add(1);
-    obsConnectionsTotal_->inc();
-    std::string line;
-    uint64_t lastBytesReceived = 0;
-    while (!stopping_.load() && !client.writeFailed.load()) {
-        const LineChannel::MessageKind kind =
-            client.channel.readMessage(&line);
-        const uint64_t received = client.channel.bytesRead();
-        obsBytesReceived_->inc(received - lastBytesReceived);
-        lastBytesReceived = received;
-        if (kind == LineChannel::MessageKind::Eof)
-            break;
-        if (kind != LineChannel::MessageKind::Line) {
-            // Result frames flow server->client only; a frame (or
-            // frame-marker garbage) on the request channel means the
-            // peer lost the framing. One structured error, then a
-            // clean close — resynchronizing an unframed byte stream
-            // is not possible.
-            Json err = errorJson(
-                "binary frame on the request channel");
-            err.set("badFrame", true);
-            client.write(err.dump());
-            break;
-        }
-        if (line.empty())
-            continue;
-        Json request;
-        std::string parseError;
-        if (!Json::parse(line, &request, &parseError)) {
-            if (!client.write(errorJson(parseError).dump()))
-                break;
-            continue;
-        }
-        if (!handleRequest(request, client))
-            break;
-    }
-    // The peer is gone (or the daemon is stopping): cancel the
-    // connection's batches and drop its queued engine work so
-    // abandoned points free their worker slots instead of simulating
-    // for nobody — and so the joins below are quick.
-    reapClient(client);
-    engine_->closeLane(client.lane);
-    obsConnections_->add(-1);
-    // In-flight batches drain before the channel closes: their
-    // threads hold pointers into this stack frame. A gone peer makes
-    // their writes fail fast; daemon shutdown breaks their futures.
-    for (auto &stream : client.streams) {
-        if (stream.second.joinable())
-            stream.second.join();
-    }
-    // Move our own thread handle to the finished list (joined by the
-    // accept loop or teardown) while the descriptor is still open, so
-    // teardown can never shutdown() a recycled fd; the channel closes
-    // it after. During teardown the entry may already be gone — the
-    // teardown thread owns the handle then.
-    std::lock_guard<std::mutex> lock(clientsMutex_);
-    auto self = activeClients_.find(fd);
-    if (self != activeClients_.end()) {
-        finishedClients_.push_back(std::move(self->second));
-        activeClients_.erase(self);
-    }
+    frontEnd_.serve(format("%d workers%s", engine_->workers(),
+                           store_ ? ", persistent store" : ""));
+    teardown();
 }
 
 void
@@ -510,7 +226,7 @@ MtvService::reapClient(ClientState &client)
     if (reaped > 0) {
         inform("mtvd: client %llu vanished, reaped %llu in-flight "
                "batch%s",
-               static_cast<unsigned long long>(client.clientId),
+               static_cast<unsigned long long>(client.connection.id()),
                static_cast<unsigned long long>(reaped),
                reaped == 1 ? "" : "es");
     }
@@ -612,125 +328,69 @@ MtvService::statusJson()
 }
 
 bool
-MtvService::handleRequest(const Json &request, ClientState &client)
+MtvService::handleRequest(const Request &request, ClientState &client)
 {
-    try {
-        // Client input flows through fatal()-reporting validation
-        // (JSON shape, RunSpec::parse, findProgram, expandSweep); a
-        // user error must answer this client, not kill the daemon.
-        ScopedFatalAsException fatalScope;
-
-        const std::string op = request.getString("op");
-        if (op == "hello") {
-            // Wire negotiation (protocol v6): the client asks for a
-            // result-point encoding; everything else on the stream
-            // stays JSON lines. An unknown value answers an error and
-            // leaves the connection on JSON — old daemons answer
-            // "unknown op" here, which v6 clients treat the same way.
-            const std::string wanted =
-                request.has("wire") ? request.getString("wire")
-                                    : "json";
-            WireFormat wire;
-            if (wanted == "json")
-                wire = WireFormat::Json;
-            else if (wanted == "binary")
-                wire = WireFormat::Binary;
-            else {
-                return client.write(
-                    errorJson("unknown wire format '" + wanted +
-                              "' (expected json or binary)")
-                        .dump());
-            }
-            client.wire.store(wire);
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("hello", true);
-            ok.set("wire", wanted);
-            ok.set("protocol", serviceProtocolVersion);
-            return client.write(ok.dump());
-        }
-        if (op == "run")
-            return handleRun(request, client);
-        if (op == "sweep")
-            return handleSweep(request, client);
-        if (op == "compare")
-            return handleCompare(request, client);
-        if (op == "ping") {
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("pong", true);
-            ok.set("protocol", serviceProtocolVersion);
-            ok.set("workers", engine_->workers());
-            Json families = Json::array();
-            for (const SweepFamilyInfo &family : sweepFamilies())
-                families.push(family.name);
-            ok.set("sweepFamilies", std::move(families));
-            return client.write(ok.dump());
-        }
-        if (op == "stats") {
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("workers", engine_->workers());
-            Json service = Json::object();
-            service.set("activeRequests", activeRequests_.load());
-            service.set("completedPoints", completedPoints_.load());
-            ok.set("service", std::move(service));
-            ok.set("cache", engineStatsToJson(*engine_));
-            ok.set("store",
-                   store_ ? storeStatsToJson(*store_) : Json());
-            return client.write(ok.dump());
-        }
-        if (op == "status")
-            return client.write(statusJson().dump());
-        if (op == "metrics") {
-            const MetricsSnapshot snap =
-                MetricsRegistry::instance().snapshot();
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("metrics", metricsToJson(snap));
-            if (request.getBool("prom", false))
-                ok.set("prom", renderProm(snap));
-            return client.write(ok.dump());
-        }
-        if (op == "cancel") {
-            const uint64_t target = safeRequestId(request);
-            if (target == 0) {
-                return client.write(
-                    errorJson("cancel needs the request id of the "
-                              "batch to cancel")
-                        .dump());
-            }
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("cancelled", cancelBatches(target));
-            return client.write(ok.dump());
-        }
-        if (op == "clear") {
-            engine_->clear();
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("cleared", true);
-            return client.write(ok.dump());
-        }
-        if (op == "shutdown") {
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("stopping", true);
-            client.write(ok.dump());
-            inform("mtvd: shutdown requested by client");
-            stop();
-            return false;
-        }
-        client.write(errorJson("unknown op '" + op + "'").dump());
-        return true;
-    } catch (const FatalError &e) {
-        // Validation failed before a batch was admitted; a request
-        // id, when present, routes the error to its sender.
-        Json j = errorJson(e.what());
-        if (request.has("id"))
-            j.set("id", safeRequestId(request));
-        return client.write(j.dump());
+    const std::string &op = request.op;
+    if (op == "run")
+        return handleRun(request, client);
+    if (op == "sweep")
+        return handleSweep(request, client);
+    if (op == "compare")
+        return handleCompare(request, client);
+    if (op == "ping") {
+        Json ok = Json::object();
+        ok.set("ok", true);
+        ok.set("pong", true);
+        ok.set("protocol", serviceProtocolVersion);
+        ok.set("workers", engine_->workers());
+        ok.set("sweepFamilies", sweepFamilyNames());
+        return client.connection.write(ok.dump());
     }
+    if (op == "stats") {
+        Json ok = Json::object();
+        ok.set("ok", true);
+        ok.set("workers", engine_->workers());
+        Json service = Json::object();
+        service.set("activeRequests", activeRequests_.load());
+        service.set("completedPoints", completedPoints_.load());
+        ok.set("service", std::move(service));
+        ok.set("cache", engineStatsToJson(*engine_));
+        ok.set("store", store_ ? storeStatsToJson(*store_) : Json());
+        return client.connection.write(ok.dump());
+    }
+    if (op == "status")
+        return client.connection.write(statusJson().dump());
+    if (op == "metrics") {
+        const MetricsSnapshot snap =
+            MetricsRegistry::instance().snapshot();
+        Json ok = Json::object();
+        ok.set("ok", true);
+        ok.set("metrics", metricsToJson(snap));
+        if (request.body.getBool("prom", false))
+            ok.set("prom", renderProm(snap));
+        return client.connection.write(ok.dump());
+    }
+    if (op == "cancel") {
+        if (request.id == 0) {
+            return client.connection.write(
+                errorJson("cancel needs the request id of the "
+                          "batch to cancel")
+                    .dump());
+        }
+        Json ok = Json::object();
+        ok.set("ok", true);
+        ok.set("cancelled", cancelBatches(request.id));
+        return client.connection.write(ok.dump());
+    }
+    if (op == "clear") {
+        engine_->clear();
+        Json ok = Json::object();
+        ok.set("ok", true);
+        ok.set("cleared", true);
+        return client.connection.write(ok.dump());
+    }
+    return client.connection.write(
+        errorJson("unknown op '" + op + "'").dump());
 }
 
 bool
@@ -741,23 +401,21 @@ MtvService::acquireSlot(ClientState &client)
     // client's sends eventually block.
     std::unique_lock<std::mutex> lock(client.slotMutex);
     client.slotCv.wait(lock, [this, &client] {
-        return stopping_.load() || client.writeFailed.load() ||
+        return frontEnd_.stopping() || client.connection.writeFailed() ||
                client.inflight < maxInflightRequestsPerConnection;
     });
-    if (stopping_.load() || client.writeFailed.load())
+    if (frontEnd_.stopping() || client.connection.writeFailed())
         return false;
     ++client.inflight;
     return true;
 }
 
 bool
-MtvService::handleRun(const Json &request, ClientState &client)
+MtvService::handleRun(const Request &request, ClientState &client)
 {
-    const uint64_t admittedUs = monotonicMicros();
-    const uint64_t id = safeRequestId(request);
     const std::vector<Json> &specLines =
-        request.get("specs").asArray();
-    const bool quiet = request.getBool("quiet", false);
+        request.body.get("specs").asArray();
+    const bool quiet = request.body.getBool("quiet", false);
 
     // Validate the whole batch before running any of it: a malformed
     // spec answers with one error and no results.
@@ -768,51 +426,29 @@ MtvService::handleRun(const Json &request, ClientState &client)
 
     if (!acquireSlot(client))
         return false;
-    admitBatch(client, id, std::move(specs), quiet, false,
-               admittedUs);
+    admitBatch(client, request.id, std::move(specs), quiet, false,
+               request.arrivedUs);
     return true;
 }
 
 bool
-MtvService::handleSweep(const Json &request, ClientState &client)
+MtvService::handleSweep(const Request &request, ClientState &client)
 {
-    const uint64_t admittedUs = monotonicMicros();
-    const uint64_t id = safeRequestId(request);
-    const bool quiet = request.getBool("quiet", false);
-
-    // An unknown family answers with a *structured* error line — the
-    // offending name plus the registered families — so fleet routers
-    // and scripted clients can match on fields instead of parsing
-    // prose. Either way the connection stays open.
-    const SweepRequest sweepRequest = sweepRequestFromJson(request);
-    bool known = false;
-    for (const SweepFamilyInfo &family : sweepFamilies())
-        known = known || family.name == sweepRequest.family;
-    if (!known) {
-        Json err = requestErrorJson(id, "unknown sweep family '" +
-                                            sweepRequest.family +
-                                            "'");
-        err.set("badFamily", sweepRequest.family);
-        Json families = Json::array();
-        for (const SweepFamilyInfo &family : sweepFamilies())
-            families.push(family.name);
-        err.set("families", std::move(families));
-        return client.write(err.dump());
-    }
+    const bool quiet = request.body.getBool("quiet", false);
 
     // Server-side expansion: the ~100-byte family request becomes the
     // full spec batch here, next to the engine, instead of being
     // serialized by every client.
-    SweepBuilder sweep = expandSweep(sweepRequest);
+    SweepBuilder sweep = expandSweep(request.sweep);
 
     // "points" selects a subset of the expansion by global index —
     // the fleet scatter path (a router sends each node only the
     // indices it owns; seq then numbers the subset in given order).
     std::vector<RunSpec> specs = sweep.take();
     const size_t total = specs.size();
-    if (request.has("points")) {
+    if (request.body.has("points")) {
         const std::vector<Json> &points =
-            request.get("points").asArray();
+            request.body.get("points").asArray();
         std::vector<RunSpec> subset;
         subset.reserve(points.size());
         for (const Json &point : points) {
@@ -821,7 +457,7 @@ MtvService::handleSweep(const Json &request, ClientState &client)
                 fatal("sweep point index %llu out of range (family "
                       "'%s' expands to %zu points)",
                       static_cast<unsigned long long>(index),
-                      sweepRequest.family.c_str(), total);
+                      request.sweep.family.c_str(), total);
             }
             subset.push_back(specs[index]);
         }
@@ -829,7 +465,7 @@ MtvService::handleSweep(const Json &request, ClientState &client)
     }
 
     Json ack = Json::object();
-    ack.set("id", id);
+    ack.set("id", request.id);
     ack.set("ack", true);
     ack.set("count", static_cast<uint64_t>(specs.size()));
     ack.set("total", static_cast<uint64_t>(total));
@@ -837,67 +473,28 @@ MtvService::handleSweep(const Json &request, ClientState &client)
     for (const SweepSlice &slice : sweep.slices())
         slices.push(sliceToJson(slice));
     ack.set("slices", std::move(slices));
-    if (!client.write(ack.dump()))
+    if (!client.connection.write(ack.dump()))
         return false;
 
     if (!acquireSlot(client))
         return false;
-    admitBatch(client, id, std::move(specs), quiet, true,
-               admittedUs);
+    admitBatch(client, request.id, std::move(specs), quiet, true,
+               request.arrivedUs);
     return true;
 }
 
 bool
-MtvService::handleCompare(const Json &request, ClientState &client)
+MtvService::handleCompare(const Request &request, ClientState &client)
 {
-    const uint64_t admittedUs = monotonicMicros();
-    const uint64_t id = safeRequestId(request);
-
-    const SweepRequest sweepRequest = sweepRequestFromJson(request);
-    bool known = false;
-    for (const SweepFamilyInfo &family : sweepFamilies())
-        known = known || family.name == sweepRequest.family;
-    if (!known) {
-        Json err = requestErrorJson(id, "unknown sweep family '" +
-                                            sweepRequest.family +
-                                            "'");
-        err.set("badFamily", sweepRequest.family);
-        Json families = Json::array();
-        for (const SweepFamilyInfo &family : sweepFamilies())
-            families.push(family.name);
-        err.set("families", std::move(families));
-        return client.write(err.dump());
-    }
-
-    SweepBuilder sweep = expandSweep(sweepRequest);
-
-    // Comparability is checked before any simulation: every slice
-    // must pair row-wise against slice 0 (the baseline design).
-    // Families whose slices are not design-parallel (suite-grouping,
-    // groupings) answer a structured error instead of burning a
-    // sweep's worth of work first.
-    const std::vector<SweepSlice> &slices = sweep.slices();
-    bool comparable = slices.size() >= 2;
-    for (const SweepSlice &s : slices)
-        comparable = comparable && s.count == slices[0].count;
-    if (!comparable) {
-        Json err = requestErrorJson(
-            id, "sweep family '" + sweepRequest.family +
-                    "' is not design-parallel and cannot be "
-                    "compared");
-        err.set("notComparable", sweepRequest.family);
-        return client.write(err.dump());
-    }
-
+    SweepBuilder sweep = expandSweep(request.sweep);
     auto compare = std::make_shared<CompareJob>();
-    compare->family = sweepRequest.family;
-    compare->baseline = slices[0].label;
-    compare->slices = slices;
+    compare->family = request.sweep.family;
+    compare->slices = sweep.slices();
 
     if (!acquireSlot(client))
         return false;
-    admitBatch(client, id, sweep.take(), /*quiet=*/true,
-               /*sweep=*/true, admittedUs, std::move(compare));
+    admitBatch(client, request.id, sweep.take(), /*quiet=*/true,
+               /*sweep=*/true, request.arrivedUs, std::move(compare));
     return true;
 }
 
@@ -914,7 +511,7 @@ MtvService::admitBatch(ClientState &client, uint64_t id,
     {
         std::lock_guard<std::mutex> lock(batchesMutex_);
         batches_.emplace(batchKey,
-                         BatchInfo{client.clientId, id, token});
+                         BatchInfo{client.connection.id(), id, token});
     }
     {
         std::lock_guard<std::mutex> lock(client.tokenMutex);
@@ -953,7 +550,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
     // in-flight stream must not flip the encoding mid-stream (the
     // ack's ordering guarantee is per-request, not per-connection).
     const bool binary =
-        client.wire.load() == WireFormat::Binary && !compare;
+        client.connection.wire() == WireFormat::Binary && !compare;
 
     // Fan the whole batch out up front — identical points of other
     // in-flight requests coalesce inside the engine — then consume
@@ -994,7 +591,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
     const auto flushOutbox = [&]() {
         if (outbox.empty())
             return true;
-        const bool ok = client.writeFrameBytes(outbox);
+        const bool ok = client.connection.writeFrameBytes(outbox);
         outbox.clear();
         return ok;
     };
@@ -1019,12 +616,12 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
             // full, but never worth the daemon's life.
             warn("mtvd: %s", e.what());
             flushOutbox();
-            client.write(simErrorJson(id, e).dump());
+            client.connection.write(simErrorJson(id, e).dump());
             aborted = true;
             break;
         } catch (const FatalError &e) {
             flushOutbox();
-            client.write(requestErrorJson(id, e.what()).dump());
+            client.connection.write(requestErrorJson(id, e.what()).dump());
             aborted = true;
             break;
         }
@@ -1111,7 +708,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
         done.set("cancelled", true);
         done.set("count", static_cast<uint64_t>(futures.size()));
         done.set("completed", static_cast<uint64_t>(completed));
-        client.write(done.dump());
+        client.connection.write(done.dump());
     } else if (!aborted && compare) {
         // The compare answer: one aggregated line, the digest folded
         // over the same blobs the equivalent sweep would stream.
@@ -1123,7 +720,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
             ok.set("compare", true);
             ok.set("family", compare->family);
             ok.set("count", static_cast<uint64_t>(futures.size()));
-            ok.set("baseline", compare->baseline);
+            ok.set("baseline", compare->slices[0].label);
             ok.set("simulated", simulated);
             ok.set("cacheServed", cacheServed);
             ok.set("storeServed", storeServed);
@@ -1135,12 +732,12 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
                  compareDesigns(compare->slices, collected))
                 rows.push(compareRowToJson(row));
             ok.set("rows", std::move(rows));
-            if (client.write(ok.dump())) {
+            if (client.connection.write(ok.dump())) {
                 obsDoneUs_[sweep]->observe(monotonicMicros() -
                                            admittedUs);
             }
         } catch (const FatalError &e) {
-            client.write(requestErrorJson(id, e.what()).dump());
+            client.connection.write(requestErrorJson(id, e.what()).dump());
         }
     } else if (!aborted) {
         Json done = Json::object();
@@ -1153,7 +750,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
         done.set("digest", format("%016llx",
                                   static_cast<unsigned long long>(
                                       digest)));
-        if (client.write(done.dump())) {
+        if (client.connection.write(done.dump())) {
             // Request→done latency, clean completions only: aborted
             // and cancelled streams are deliberately partial and
             // would pollute the series with early exits.

@@ -2,36 +2,29 @@
  * @file
  * MtvService: the engine room of the `mtvd` daemon. Owns one
  * ExperimentEngine (optionally backed by a persistent, sharded
- * ResultStore), listens on a unix stream socket (and, when
- * configured, a TCP endpoint — the fleet transport) through one
- * poll()-based accept loop, and serves the multiplexed streaming
- * JSON protocol of src/service/protocol.hh to any number of
- * concurrent clients on either transport.
+ * ResultStore) behind the shared FrontEnd (src/service/front_end.hh),
+ * which owns the listeners, the read loop, "hello", "shutdown" and
+ * every client-error answer — the same front end `mtvd --route` runs.
+ * This file holds the engine's op table.
  *
- * Concurrency model: one thread per connection reads and validates
- * requests; each batch request ("run" or server-side-expanded
- * "sweep") then streams from its own thread, so one connection can
- * keep several sweeps in flight. All response lines of a connection
- * funnel through one write mutex; a connection admits at most
- * maxInflightRequestsPerConnection concurrent batches — the read
- * loop stops consuming requests until a slot frees, which is the
- * protocol's backpressure. All clients share the engine's memory
+ * Concurrency model: the front end's read thread per connection calls
+ * these handlers; each batch request ("run", server-side-expanded
+ * "sweep", "compare") then streams from its own thread, so one
+ * connection can keep several sweeps in flight. A connection admits
+ * at most maxInflightRequestsPerConnection concurrent batches — the
+ * read loop stops consuming requests until a slot frees, which is
+ * the protocol's backpressure. All clients share the engine's memory
  * cache, in-flight coalescing map and store — N clients requesting
- * the same spec cost one simulation. Client errors (bad JSON,
- * unknown programs, malformed specs, unknown sweep families) are
- * answered with {"error":...} and never take the daemon down;
- * validation runs under ScopedFatalAsException.
+ * the same spec cost one simulation.
  *
  * Request lifecycle: each connection gets its own engine scheduling
- * lane (weighted round-robin across lanes — no client can
- * head-of-line-block another) and every admitted batch carries a
- * CancelToken, registered service-wide so a "cancel" op from any
- * connection can hit it by request id. The moment a connection's
- * peer vanishes — a write fails (sticky writeFailed) or its socket
- * closes — the service reaps the connection: all its tokens are
- * cancelled and its lane's queued engine work is dropped, so
- * abandoned sweeps free their worker slots instead of simulating
- * for nobody.
+ * lane (weighted round-robin — no client can head-of-line-block
+ * another) and every admitted batch carries a CancelToken, registered
+ * service-wide so a "cancel" op from any connection can hit it by
+ * request id. The moment a connection's peer vanishes — a write fails
+ * or its socket closes — its tokens are cancelled and its lane's
+ * queued engine work is dropped, so abandoned sweeps free their
+ * worker slots instead of simulating for nobody.
  */
 
 #ifndef MTV_SERVICE_SERVER_HH
@@ -41,31 +34,19 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "src/api/engine.hh"
-#include "src/service/protocol.hh"
+#include "src/service/front_end.hh"
 #include "src/store/result_store.hh"
 
 namespace mtv
 {
 
 /** Configuration of one MtvService instance. */
-struct ServiceOptions
+struct ServiceOptions : ListenOptions
 {
-    /** Unix socket path to listen on. Empty = defaultSocketPath(). */
-    std::string socketPath;
-    /**
-     * TCP listen host ("mtvd --tcp HOST:PORT"); empty = unix socket
-     * only. Both listeners serve the identical protocol; TCP is what
-     * lets mtvd nodes form a fleet across machines (src/fleet/).
-     */
-    std::string tcpHost;
-    /** TCP listen port; 0 = ephemeral (tests/smoke read the bound
-     *  port back via MtvService::tcpPort()). */
-    int tcpPort = 0;
     /**
      * Result-store directory backing the engine; empty = in-memory
      * only (results die with the daemon).
@@ -84,16 +65,16 @@ struct ServiceOptions
     SimKernel kernel = SimKernel::Event;
 };
 
-/** The mtvd daemon core (socket server around an engine + store). */
+/** The mtvd daemon core (the front end around an engine + store). */
 class MtvService
 {
   public:
     /**
-     * Open the store (when configured), build the engine, bind and
-     * listen. fatal()s on an unusable socket path or store, or when
+     * Bind and listen, open the store (when configured) and build the
+     * engine. fatal()s on an unusable socket path or store, or when
      * another live daemon already serves the socket.
      */
-    explicit MtvService(ServiceOptions options);
+    explicit MtvService(const ServiceOptions &options);
     ~MtvService();
 
     MtvService(const MtvService &) = delete;
@@ -112,7 +93,7 @@ class MtvService
      * from signal context (the heavy lifting happens on the serve()
      * thread).
      */
-    void stop();
+    void stop() { frontEnd_.stop(); }
 
     /** The engine all connections share. */
     ExperimentEngine &engine() { return *engine_; }
@@ -121,11 +102,11 @@ class MtvService
     const std::shared_ptr<ResultStore> &store() const { return store_; }
 
     /** Path the daemon is listening on. */
-    const std::string &socketPath() const { return socketPath_; }
+    const std::string &socketPath() const { return frontEnd_.socketPath(); }
 
     /** Bound TCP port (the kernel's choice for an ephemeral bind),
      *  or 0 when no TCP listener was configured. */
-    int tcpPort() const { return tcpPort_; }
+    int tcpPort() const { return frontEnd_.tcpPort(); }
 
     /** Batch requests currently streaming, across all connections. */
     uint64_t activeRequests() const { return activeRequests_.load(); }
@@ -147,8 +128,8 @@ class MtvService
     uint64_t reapedBatches() const { return reapedBatches_.load(); }
 
   private:
-    /** Per-connection state shared by the read loop and the
-     *  request-streaming threads (defined in server.cc). */
+    /** This daemon's side of one connection: its engine lane, batch
+     *  slots, cancel tokens and streaming threads (server.cc). */
     struct ClientState;
 
     /** One in-flight batch in the service-wide registry ("cancel"
@@ -169,22 +150,21 @@ class MtvService
     struct CompareJob
     {
         std::string family;
-        std::string baseline;  ///< slice 0's label
-        std::vector<SweepSlice> slices;
+        std::vector<SweepSlice> slices;  ///< slice 0 is the baseline
     };
 
-    void handleConnection(int fd);
-    /** Serve one request; returns false when the connection should
-     *  close (shutdown request or write failure). */
-    bool handleRequest(const Json &request, ClientState &client);
+    /** Serve one request the front end passed on; returns false when
+     *  the connection should close (write failure, shutting down). */
+    bool handleRequest(const Request &request, ClientState &client);
     /** Validate a "run" batch and start its streaming thread. */
-    bool handleRun(const Json &request, ClientState &client);
+    bool handleRun(const Request &request, ClientState &client);
     /** Expand a "sweep" request server-side, ack it, and start its
      *  streaming thread. */
-    bool handleSweep(const Json &request, ClientState &client);
-    /** Expand a "compare" request, check the family is design-
-     *  parallel, and start its streaming thread in compare mode. */
-    bool handleCompare(const Json &request, ClientState &client);
+    bool handleSweep(const Request &request, ClientState &client);
+    /** Expand a "compare" request (the front end checked that the
+     *  family is design-parallel) and start its streaming thread in
+     *  compare mode. */
+    bool handleCompare(const Request &request, ClientState &client);
     /** Admit the validated batch @p specs: take a slot, register its
      *  cancel token, and start its streaming thread. @p sweep tags
      *  the op's latency series; @p admittedUs is the request's
@@ -201,9 +181,9 @@ class MtvService
     /** The "status" response: queue depth, per-connection in-flight
      *  counts, cancelled/reaped counters. */
     Json statusJson();
-    /** Cancel all of @p client's batch tokens and drop its queued
-     *  engine work — the peer is gone (EOF or sticky write failure).
-     *  Idempotent; safe from the read and streaming threads. */
+    /** Cancel all of @p client's batch tokens — the peer is gone (EOF
+     *  or a failed write). Idempotent; safe from the read and
+     *  streaming threads. */
     void reapClient(ClientState &client);
     /** Block until the connection has a free batch slot (the
      *  protocol's backpressure); false when shutting down. */
@@ -217,33 +197,16 @@ class MtvService
                      uint64_t batchKey, bool sweep,
                      uint64_t admittedUs,
                      std::shared_ptr<const CompareJob> compare);
-    /** Join threads whose connections have ended. Caller holds
-     *  clientsMutex_. */
-    void reapFinishedLocked();
-    /** Shut down remaining connections, drop queued engine work, and
-     *  join every client thread (serve() teardown and destructor). */
-    void teardownClients();
+    /** Drop queued engine work, then shut down and join every
+     *  connection (serve() teardown and destructor). */
+    void teardown();
 
-    /** One listening socket (unix or TCP) the accept loop polls. */
-    struct Listener
-    {
-        int fd = -1;
-        Endpoint endpoint;
-    };
-
-    std::string socketPath_;
     std::shared_ptr<ResultStore> store_;
     std::unique_ptr<ExperimentEngine> engine_;
-    /** All listeners (unix socket always; TCP when configured),
-     *  served by one poll()-based accept loop. */
-    std::vector<Listener> listeners_;
-    int tcpPort_ = 0;
-    std::atomic<bool> stopping_{false};
     std::atomic<uint64_t> activeRequests_{0};
     std::atomic<uint64_t> completedPoints_{0};
     std::atomic<uint64_t> cancelledBatches_{0};
     std::atomic<uint64_t> reapedBatches_{0};
-    std::atomic<uint64_t> nextClientId_{1};
     std::atomic<uint64_t> nextBatchKey_{1};
 
     /** Every batch currently admitted, keyed by a daemon-unique
@@ -251,29 +214,18 @@ class MtvService
     std::mutex batchesMutex_;
     std::unordered_map<uint64_t, BatchInfo> batches_;
 
-    std::mutex clientsMutex_;
-    /** Live connections: fd -> serving thread. */
-    std::unordered_map<int, std::thread> activeClients_;
-    /** Threads whose connection ended, awaiting a cheap join (reaped
-     *  on every accept so the daemon never accumulates dead ones). */
-    std::vector<std::thread> finishedClients_;
-
-    // Process-wide observability handles (src/obs/metrics.hh),
-    // request→first-point and request→done latency per op plus
-    // connection/write-path health. ClientState::write() reaches
-    // obsWriteStallUs_/obsWriteFailures_ through its service pointer.
+    // Process-wide observability handles (src/obs/metrics.hh):
+    // request→first-point and request→done latency per op.
     Histogram *obsFirstPointUs_[2] = {nullptr, nullptr}; ///< [sweep]
     Histogram *obsDoneUs_[2] = {nullptr, nullptr};       ///< [sweep]
     /** Per-point result encode latency, [sweep][binary wire]. */
     Histogram *obsEncodeUs_[2][2] = {{nullptr, nullptr},
                                      {nullptr, nullptr}};
     Gauge *obsInflightBatches_ = nullptr;
-    Gauge *obsConnections_ = nullptr;
-    Counter *obsConnectionsTotal_ = nullptr;
-    Counter *obsWriteStallUs_ = nullptr;
-    Counter *obsWriteFailures_ = nullptr;
-    Counter *obsBytesSent_ = nullptr;
-    Counter *obsBytesReceived_ = nullptr;
+
+    /** Declared last: torn down (connections joined) before the
+     *  engine they call into. */
+    FrontEnd frontEnd_;
 };
 
 } // namespace mtv

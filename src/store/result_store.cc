@@ -176,8 +176,6 @@ ResultStore::ResultStore(const std::string &dir, int shards)
             thread.join();
     }
 
-    migrateLegacySegments();
-
     // Recovery observability: what the open scan found, per shard.
     for (size_t i = 0; i < shards_.size(); ++i) {
         char label[48];
@@ -228,8 +226,8 @@ ResultStore::scanSegment(
     const std::function<void(std::string &&, std::string &&, long)>
         &record) const
 {
-    // Verify every record's checksum once, here; callers decide what
-    // to retain (an index location on load, the blob on migration).
+    // Verify every record's checksum once, here; the caller decides
+    // what to retain (an index location).
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f) {
         warn("store: cannot open segment '%s': %s — skipping",
@@ -413,50 +411,6 @@ ResultStore::appendLocked(Shard &shard, const std::string &key,
     shard.obsAppends->inc();
 }
 
-void
-ResultStore::migrateLegacySegments()
-{
-    // Pre-shard stores kept their segments at the directory root.
-    // Re-home every intact record into its shard, then delete the
-    // legacy file — only after its records are flushed, so a crash
-    // mid-migration re-migrates (and the key dedup makes that a
-    // no-op for records already re-homed).
-    const std::vector<std::string> names =
-        listDir(dir_, isSegmentName);
-    for (const auto &name : names) {
-        const std::string path = dir_ + "/" + name;
-        ++legacySegments_;
-        const SegmentVerdict verdict = scanSegment(
-            path, &legacyDropped_,
-            [this](std::string &&key, std::string &&blob, long) {
-                Shard &shard = shardFor(key);
-                if (shard.index.count(key))
-                    return;  // already re-homed (or re-written since)
-                appendLocked(shard, key, blob);
-                ++migratedRecords_;
-            });
-        switch (verdict) {
-          case SegmentVerdict::Scanned:
-            ::unlink(path.c_str());
-            break;
-          case SegmentVerdict::Stale:
-            // Left in place (their data is not ours to destroy), and
-            // rejected again on every open.
-            ++legacyStale_;
-            break;
-          case SegmentVerdict::Bad:
-            ++legacyBad_;
-            break;
-        }
-    }
-    if (migratedRecords_ > 0) {
-        inform("store: migrated %llu records from %zu legacy "
-               "segments into %zu shards",
-               static_cast<unsigned long long>(migratedRecords_),
-               legacySegments_, shards_.size());
-    }
-}
-
 std::FILE *
 ResultStore::readHandle(Shard &shard, uint32_t segment)
 {
@@ -544,11 +498,6 @@ ResultStore::stats() const
 {
     Stats total;
     total.shards = shards_.size();
-    total.segments = legacySegments_;
-    total.staleSegments = legacyStale_;
-    total.badSegments = legacyBad_;
-    total.droppedRecords = legacyDropped_;
-    total.migratedRecords = migratedRecords_;
     for (const auto &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard->mutex);
         total.segments += shard->segments;

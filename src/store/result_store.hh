@@ -33,12 +33,9 @@
  * registry and must not be served.
  *
  * Opening warm-loads all shards in parallel (one thread per shard, up
- * to the hardware thread count), and transparently migrates stores
- * written by the pre-shard layout: root-level `seg-*.mtvs` files are
- * scanned record by record, each intact record is re-appended into
- * its shard, and the legacy file is deleted only after its records
- * are flushed — a crash mid-migration merely re-migrates (appends
- * dedup on key).
+ * to the hardware thread count). Only `shard-SS/` segments are read:
+ * a segment at the directory root predates sharding and with it the
+ * current schema hash, so it could only ever be rejected as stale.
  *
  * Memory: only an index (key → segment/offset/length) is resident;
  * load() reads and decodes the blob from disk on demand, so a
@@ -92,7 +89,6 @@ class ResultStore : public ResultBackend
         size_t badSegments = 0;    ///< rejected: bad magic/version
         uint64_t loadedRecords = 0;///< intact records read at open
         uint64_t droppedRecords = 0;///< corrupt/truncated tails skipped
-        uint64_t migratedRecords = 0;///< re-homed from the legacy layout
         uint64_t appends = 0;      ///< records appended this session
         uint64_t hits = 0;         ///< load() calls served
         uint64_t misses = 0;       ///< load() calls not present
@@ -100,9 +96,8 @@ class ResultStore : public ResultBackend
 
     /**
      * Open (creating if needed) the store at @p dir, take the writer
-     * lock, warm-load every shard in parallel, migrate any legacy
-     * single-directory segments, and start a fresh segment per shard
-     * for this session's appends. @p shards picks the partition count
+     * lock, warm-load every shard in parallel, and start a fresh
+     * segment per shard for this session's appends. @p shards picks the partition count
      * of a *new* store (0 = defaultStoreShards); an existing store
      * keeps the count it was created with (with a warning when a
      * different count was requested). fatal()s when the directory is
@@ -220,10 +215,6 @@ class ResultStore : public ResultBackend
     void appendLocked(Shard &shard, const std::string &key,
                       const std::string &blob);
 
-    /** Re-home records of pre-shard root-level segments, then delete
-     *  them. Runs single-threaded at open (before concurrency). */
-    void migrateLegacySegments();
-
     /** Read handle for @p segment of @p shard, opened lazily. Caller
      *  holds shard.mutex; fatal()s when the file vanished. */
     std::FILE *readHandle(Shard &shard, uint32_t segment);
@@ -232,12 +223,6 @@ class ResultStore : public ResultBackend
     int lockFd_ = -1;
     uint64_t schemaHash_ = 0;
     std::vector<std::unique_ptr<Shard>> shards_;
-    /** Legacy-layout counters, fixed at open. */
-    size_t legacySegments_ = 0;
-    size_t legacyStale_ = 0;
-    size_t legacyBad_ = 0;
-    uint64_t legacyDropped_ = 0;
-    uint64_t migratedRecords_ = 0;
 };
 
 } // namespace mtv

@@ -713,6 +713,104 @@ TEST_F(FleetFixture, CompareOpScattersAndMatchesLocalTable)
     serveThread.join();
 }
 
+/** Send one request line and read up to its last answer line: an
+ *  error, a done line or a one-line answer (acks and points are
+ *  skipped). */
+Json
+lastAnswer(LineChannel &channel, const std::string &request)
+{
+    EXPECT_TRUE(channel.writeLine(request)) << request;
+    std::string line;
+    while (channel.readLine(&line)) {
+        Json answer;
+        std::string error;
+        EXPECT_TRUE(Json::parse(line, &answer, &error)) << error;
+        if (!answer.has("ack") && !answer.has("seq"))
+            return answer;
+    }
+    ADD_FAILURE() << "connection closed after " << request;
+    return Json::object();
+}
+
+TEST_F(FleetFixture, RouterAnswersEveryRequestLikeANode)
+{
+    // A node and a routing daemon run one front end, so each line
+    // gets the same answer from both: the same error (text, id and
+    // structured fields) or the same accepted stream (id, count and
+    // digest), on one connection each that survives every line. The
+    // router is reached over its TCP listener.
+    FleetServiceOptions options;
+    options.socketPath = tempPath(6);
+    options.tcpHost = "127.0.0.1";
+    options.tcpPort = 0;
+    options.nodes = endpoints_;
+    FleetService fleet(options);
+    std::thread serveThread([&fleet] { fleet.serve(); });
+
+    std::string error;
+    const int nodeFd =
+        connectToDaemon(services_[1]->socketPath(), &error);
+    ASSERT_GE(nodeFd, 0) << error;
+    const int routerFd = connectToEndpoint(
+        Endpoint::tcp("127.0.0.1", fleet.tcpPort()), &error);
+    ASSERT_GE(routerFd, 0) << error;
+    {
+        LineChannel node(nodeFd);
+        LineChannel router(routerFd);
+        const std::string latency =
+            "\"family\":\"latency\",\"scale\":2e-05,\"quiet\":true";
+        const std::vector<std::string> rows = {
+            "[1,2]",
+            "3",
+            "\"x\"",
+            "null",
+            "{not json",
+            "{\"id\":9}",
+            "{\"op\":\"explode\",\"id\":4}",
+            "{\"op\":\"hello\",\"wire\":\"morse\"}",
+            "{\"op\":\"sweep\",\"id\":2.5," + latency + "}",
+            "{\"op\":\"sweep\",\"id\":-1," + latency + "}",
+            "{\"op\":\"sweep\",\"id\":1e300," + latency + "}",
+            "{\"op\":\"sweep\"," + latency + "}",
+            "{\"op\":\"sweep\",\"id\":3,\"family\":\"nope\"}",
+            "{\"op\":\"compare\",\"id\":4,\"family\":\"nope\"}",
+            "{\"op\":\"run\",\"id\":5,\"specs\":[]}",
+            "{\"op\":\"run\",\"id\":6,\"specs\":[\"bogus\"]}",
+        };
+        for (const std::string &row : rows) {
+            const Json expected = lastAnswer(node, row);
+            const Json got = lastAnswer(router, row);
+            EXPECT_EQ(got.get("id").dump(), expected.get("id").dump())
+                << row;
+            if (expected.has("error")) {
+                EXPECT_EQ(got.getString("error"),
+                          expected.getString("error"))
+                    << row;
+                EXPECT_EQ(got.get("badFamily").dump(),
+                          expected.get("badFamily").dump())
+                    << row;
+                EXPECT_EQ(got.get("families").dump(),
+                          expected.get("families").dump())
+                    << row;
+            } else {
+                ASSERT_TRUE(expected.getBool("done"))
+                    << row << " -> " << expected.dump();
+                EXPECT_TRUE(got.getBool("done"))
+                    << row << " -> " << got.dump();
+                EXPECT_EQ(got.get("count").dump(),
+                          expected.get("count").dump())
+                    << row;
+                EXPECT_EQ(got.getString("digest"),
+                          expected.getString("digest"))
+                    << row;
+            }
+        }
+    }
+
+    fleet.stop();
+    serveThread.join();
+}
+
 TEST(FleetRouterDeath, AllNodesDeadFatals)
 {
     const std::string base =

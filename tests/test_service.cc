@@ -288,6 +288,19 @@ TEST_F(ServiceFixture, MalformedInputAnswersWithoutDying)
     response = roundTrip(channel, run);
     EXPECT_TRUE(response.has("error"));
 
+    // Valid JSON that is not an object: one error without id each,
+    // and the connection stays open.
+    for (const char *notObject : {"[1,2]", "3", "\"x\"", "null"}) {
+        ASSERT_TRUE(channel.writeLine(notObject)) << notObject;
+        ASSERT_TRUE(channel.readLine(&line)) << notObject;
+        Json error;
+        std::string parseError;
+        ASSERT_TRUE(Json::parse(line, &error, &parseError))
+            << parseError;
+        EXPECT_TRUE(error.has("error")) << notObject << ": " << line;
+        EXPECT_FALSE(error.has("id")) << notObject << ": " << line;
+    }
+
     // The daemon survived all of it.
     Json ping = Json::object();
     ping.set("op", "ping");

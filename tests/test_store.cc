@@ -2,8 +2,8 @@
  * @file
  * Tests for src/store: SimStats codec round-trips, segment
  * persistence across the sharded layout, crash-tail recovery,
- * schema-hash rejection, legacy-layout migration, concurrent
- * appends, and the engine's warm-start-from-store bit-identity.
+ * schema-hash rejection, concurrent appends, and the engine's
+ * warm-start-from-store bit-identity.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +12,6 @@
 #include <filesystem>
 #include <fstream>
 #include <thread>
-
-#include "src/common/endian.hh"
 
 #include "src/api/engine.hh"
 #include "src/store/result_store.hh"
@@ -407,100 +405,15 @@ TEST(ResultStore, ForeignFileRejectedAsBadSegment)
 {
     const std::string dir = tempDir("mtv_store_badmagic");
     { ResultStore store(dir); }
-    std::ofstream junk(dir + "/seg-000099.mtvs", std::ios::binary);
+    // Segments are read from the shard directories only.
+    std::ofstream junk(dir + "/shard-00/seg-000099.mtvs",
+                       std::ios::binary);
     junk << "this is not a segment";
     junk.close();
     {
         ResultStore store(dir);
         EXPECT_EQ(store.stats().badSegments, 1u);
         EXPECT_EQ(store.size(), 0u);
-    }
-    std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------
-// Legacy-layout migration
-// ---------------------------------------------------------------------
-
-/** Write a pre-shard (root-level) segment holding @p entries. */
-void
-writeLegacySegment(const std::string &path,
-                   const std::vector<std::pair<std::string, SimStats>>
-                       &entries)
-{
-    std::ofstream f(path, std::ios::binary);
-    uint8_t header[16];
-    writeLe32(header, storeMagic);
-    writeLe32(header + 4, storeVersion);
-    writeLe64(header + 8, storeSchemaHash());
-    f.write(reinterpret_cast<const char *>(header), sizeof(header));
-    for (const auto &[key, stats] : entries) {
-        const std::string blob = serializeSimStats(stats);
-        uint8_t rec[16];
-        writeLe32(rec, static_cast<uint32_t>(key.size()));
-        writeLe32(rec + 4, static_cast<uint32_t>(blob.size()));
-        writeLe64(rec + 8,
-                  fnv1a64(blob.data(), blob.size(),
-                          fnv1a64(key.data(), key.size())));
-        f.write(reinterpret_cast<const char *>(rec), sizeof(rec));
-        f.write(key.data(), static_cast<std::streamsize>(key.size()));
-        f.write(blob.data(),
-                static_cast<std::streamsize>(blob.size()));
-    }
-}
-
-TEST(ResultStore, LegacyStoreMigratesIntoShards)
-{
-    const std::string dir = tempDir("mtv_store_migrate");
-    std::filesystem::create_directory(dir);
-    const SimStats stats = sampleStats();
-    std::vector<std::pair<std::string, SimStats>> entries;
-    for (int i = 0; i < 12; ++i)
-        entries.emplace_back("legacy-" + std::to_string(i), stats);
-    writeLegacySegment(dir + "/seg-000000.mtvs", entries);
-    {
-        ResultStore store(dir);
-        EXPECT_EQ(store.stats().migratedRecords, 12u);
-        EXPECT_EQ(store.size(), 12u);
-        // The legacy file is gone; its records now live in shards.
-        EXPECT_FALSE(
-            std::filesystem::exists(dir + "/seg-000000.mtvs"));
-        auto loaded = store.load("legacy-7");
-        ASSERT_NE(loaded, nullptr);
-        EXPECT_EQ(serializeSimStats(*loaded),
-                  serializeSimStats(stats));
-    }
-    {
-        // Second open: nothing left to migrate, records persist.
-        ResultStore store(dir);
-        EXPECT_EQ(store.stats().migratedRecords, 0u);
-        EXPECT_EQ(store.stats().loadedRecords, 12u);
-        EXPECT_EQ(store.size(), 12u);
-    }
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ResultStore, MigrationRecoversLegacyCrashTail)
-{
-    // A store that crashed mid-append under the old layout migrates
-    // its intact prefix and drops the torn tail.
-    const std::string dir = tempDir("mtv_store_migrate_tail");
-    std::filesystem::create_directory(dir);
-    const SimStats stats = sampleStats();
-    writeLegacySegment(dir + "/seg-000000.mtvs",
-                       {{"whole", stats}, {"torn", stats}});
-    const std::string legacy = dir + "/seg-000000.mtvs";
-    std::filesystem::resize_file(
-        legacy, std::filesystem::file_size(legacy) - 5);
-    {
-        ResultStore store(dir);
-        EXPECT_EQ(store.stats().migratedRecords, 1u);
-        EXPECT_EQ(store.stats().droppedRecords, 1u);
-        EXPECT_NE(store.load("whole"), nullptr);
-        EXPECT_EQ(store.load("torn"), nullptr);
-        // The scanned legacy file is deleted: its intact prefix was
-        // re-homed and the torn tail is unrecoverable either way.
-        EXPECT_FALSE(std::filesystem::exists(legacy));
     }
     std::filesystem::remove_all(dir);
 }
