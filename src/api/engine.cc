@@ -51,6 +51,11 @@ ExperimentEngine::ExperimentEngine(EngineOptions options)
     obsUncachedRuns_ = reg.counter("engine_uncached_runs_total");
     obsCancelledRuns_ = reg.counter("engine_cancelled_runs_total");
     obsDiscardedTasks_ = reg.counter("engine_discarded_tasks_total");
+    for (size_t r = 1; r < obsKernelFallback_.size(); ++r) {
+        obsKernelFallback_[r] = reg.counter(
+            format("engine_kernel_fallback_total{reason=\"%s\"}",
+                   fallbackReasonName(static_cast<FallbackReason>(r))));
+    }
 
     pool_.reserve(workers_);
     for (int i = 0; i < workers_; ++i)
@@ -371,7 +376,13 @@ ExperimentEngine::simulate(const RunSpec &spec) const
         raw.push_back(sources.back().get());
     }
 
-    VectorSim sim(spec.effectiveParams(), kernel_);
+    const MachineParams params = spec.effectiveParams();
+    VectorSim sim(params, kernel_);
+    if (kernel_ == SimKernel::Batched) {
+        const FallbackReason reason = fallbackReason(params);
+        if (reason != FallbackReason::None)
+            obsKernelFallback_[static_cast<size_t>(reason)]->inc();
+    }
     switch (spec.mode) {
       case SpecMode::Single:
         return sim.runSingle(*raw[0], spec.maxInstructions);

@@ -36,8 +36,10 @@
  *    head-of-line-block another's interactive run.
  *  - One task, one kernel call per spec, whatever the kernel: sweep
  *    points are independent, so the pool spreads them across workers
- *    as they come (SimKernel::Batched runs each one on its fast lane,
- *    DESIGN.md section 1.3).
+ *    as they come. The default kernel, SimKernel::Batched, runs each
+ *    one on its fast lane (DESIGN.md section 1.3); a machine outside
+ *    the lane's shape runs on the event kernel and counts once in
+ *    engine_kernel_fallback_total{reason=...}.
  *  - Request lifecycle: submit() takes an optional CancelToken.
  *    Cancellation is cooperative — checked when a worker dequeues the
  *    task and between the reference-term runs of the group
@@ -51,6 +53,7 @@
 #ifndef MTV_API_ENGINE_HH
 #define MTV_API_ENGINE_HH
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -69,6 +72,7 @@
 
 #include "src/api/backend.hh"
 #include "src/api/run_spec.hh"
+#include "src/core/batch_kernel.hh"
 #include "src/core/sim.hh"
 #include "src/obs/metrics.hh"
 #include "src/trace/analyzer.hh"
@@ -120,16 +124,17 @@ struct EngineOptions
     /** Worker threads; 0 = one per hardware thread (min 1). */
     int workers = 0;
     /**
-     * Which simulation kernel executes the specs. The event-driven
-     * kernel (the default), the cycle-stepped reference and the
-     * batched fast lane produce bit-identical SimStats (guarded by
-     * tests/test_golden.cc and the CI kernel-parity job), so this
-     * knob exists purely for A/B validation and for measuring kernel
-     * speedups; it is deliberately *not* part of RunSpec keys —
-     * results from any kernel are interchangeable in the cache and
-     * the result store.
+     * Which simulation kernel executes the specs. The batched fast
+     * lane (the default; out-of-shape machines fall back to the event
+     * kernel and count in engine_kernel_fallback_total), the
+     * event-driven kernel and the cycle-stepped reference produce
+     * bit-identical SimStats (guarded by tests/test_golden.cc and the
+     * CI kernel-parity job), so this knob exists purely for A/B
+     * validation and for measuring kernel speedups; it is
+     * deliberately *not* part of RunSpec keys — results from any
+     * kernel are interchangeable in the cache and the result store.
      */
-    SimKernel kernel = SimKernel::Event;
+    SimKernel kernel = SimKernel::Batched;
     /**
      * Memoize finished runs in the shared cache (the default).
      * Disable for throughput benchmarking, where a cache hit would
@@ -480,7 +485,7 @@ class ExperimentEngine
 
     int workers_ = 1;
     bool memoize_ = true;
-    SimKernel kernel_ = SimKernel::Event;
+    SimKernel kernel_ = SimKernel::Batched;
     std::shared_ptr<ResultBackend> backend_;
     size_t maxCacheEntries_ = 0;
     /** EngineOptions::canonicalSerializer (may be empty). */
@@ -542,6 +547,10 @@ class ExperimentEngine
     Counter *obsUncachedRuns_ = nullptr;
     Counter *obsCancelledRuns_ = nullptr;
     Counter *obsDiscardedTasks_ = nullptr;
+    /** engine_kernel_fallback_total{reason=...}, by FallbackReason
+     *  (None has no series). */
+    std::array<Counter *, static_cast<size_t>(FallbackReason::NumReasons)>
+        obsKernelFallback_{};
 };
 
 } // namespace mtv

@@ -4,8 +4,9 @@
  * the event kernel — VectorSim::runEvent plus
  * DispatchUnit::planDispatch/commit/considerWakeups — specialized to
  * the machine shape sweeps run (one decode slot, no decoupled slip,
- * so a one-deep fetch window), over pre-decoded programs. Every
- * check, charge and ready-time write below mirrors its original
+ * so a one-deep fetch window), reading the sources' shared
+ * instruction streams in place. Every fetch, operand check, charge
+ * and ready-time write below mirrors its original
  * check-for-check; the golden digests (tests/test_golden.cc) and the
  * CI kernel-parity job keep the two in step. When you change
  * dispatch semantics in src/core/dispatch.cc or run machinery in
@@ -15,9 +16,9 @@
 #include "src/core/batch_kernel.hh"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "src/common/logging.hh"
 #include "src/core/context.hh"
@@ -34,10 +35,10 @@ namespace
 {
 
 // ---------------------------------------------------------------------
-// Shared decode
+// Per-opcode facts
 // ---------------------------------------------------------------------
 
-/** Predicate bits resolved at decode time. */
+/** Predicate bits of an opcode. */
 constexpr uint8_t kFlagMem = 1u << 0;
 constexpr uint8_t kFlagLoad = 1u << 1;
 constexpr uint8_t kFlagVector = 1u << 2;
@@ -45,122 +46,74 @@ constexpr uint8_t kFlagBranch = 1u << 3;
 constexpr uint8_t kFlagStore = 1u << 4;
 
 /**
- * One pre-decoded instruction: the per-instruction work that depends
- * only on the stream — unit class, operand/bank indices, clamped
- * vector length, predicate flags — done once per stream instead of
- * once per fetched instruction per point.
+ * What dispatch needs to know about an opcode beyond the
+ * instruction's own fields: its unit class, predicate flags and the
+ * operand limits the fetch checks. Looked up once per fetch and kept
+ * beside the fetched instruction.
  */
-struct DecodedInst
+struct OpFacts
 {
-    Opcode op;
-    FuClass fu;
-    uint8_t flags;
-    uint8_t dst;
-    uint8_t srcA;
-    uint8_t srcB;
-    uint16_t vl;      ///< pre-clamped: max(raw vl, 1)
-    int32_t stride;
+    FuClass fu = FuClass::Scalar;
+    uint8_t flags = 0;
+    uint16_t dstLimit = 0;  ///< registers in the dst space (256: none)
+    uint16_t srcLimit = 0;  ///< registers in the source space
+    uint16_t vlLimit = 0;   ///< largest legal vl (scalar ops: any)
 };
 
-/** A fully decoded program, shared by every point that runs it. */
-struct DecodedProgram
-{
-    std::string name;
-    /** The raw stream, retained so the cache key (its address) can
-     *  never alias a recycled allocation; also the disasm source for
-     *  wedged-machine errors. */
-    std::shared_ptr<const std::vector<Instruction>> raw;
-    std::vector<DecodedInst> code;
-};
+constexpr size_t numOpcodes = static_cast<size_t>(Opcode::NumOpcodes);
 
-/**
- * Mirror of VectorSim::checkOperands: validate register indices and
- * vector lengths once at decode instead of once per fetch.
- */
-void
-checkOperands(const Instruction &inst)
-{
-    const auto checkReg = [&inst](uint8_t reg, RegSpace space) {
-        if (reg == noReg || space == RegSpace::None)
-            return;
-        const int limit = space == RegSpace::V ? numVRegs
-                                               : numSRegs + numARegs;
-        if (reg >= limit) {
-            fatal("instruction '%s' references out-of-range register "
-                  "%u (space holds %d)",
-                  inst.disasm().c_str(), reg, limit);
-        }
+/** One row per opcode, built once from the ISA queries. */
+const std::array<OpFacts, numOpcodes> opFactsTable = [] {
+    const auto limit = [](RegSpace space) -> uint16_t {
+        if (space == RegSpace::None)
+            return 256;
+        return space == RegSpace::V ? numVRegs : numSRegs + numARegs;
     };
-    checkReg(inst.dst, inst.dstSpace());
-    checkReg(inst.srcA, inst.srcSpace());
-    checkReg(inst.srcB, inst.srcSpace());
-    if (isVector(inst.op) && inst.vl > maxVectorLength)
-        fatal("instruction '%s' exceeds the maximum vector length %d",
-              inst.disasm().c_str(), maxVectorLength);
-}
-
-std::shared_ptr<const DecodedProgram>
-decodeStream(const std::string &name,
-             std::shared_ptr<const std::vector<Instruction>> raw)
-{
-    auto prog = std::make_shared<DecodedProgram>();
-    prog->name = name;
-    prog->raw = std::move(raw);
-    prog->code.reserve(prog->raw->size());
-    for (const Instruction &inst : *prog->raw) {
-        checkOperands(inst);
-        DecodedInst d;
-        d.op = inst.op;
-        d.fu = fuClass(inst.op);
-        d.flags = static_cast<uint8_t>(
-            (isMemory(inst.op) ? kFlagMem : 0) |
-            (isLoad(inst.op) ? kFlagLoad : 0) |
-            (isVector(inst.op) ? kFlagVector : 0) |
-            (inst.op == Opcode::SBranch ? kFlagBranch : 0) |
-            (isStore(inst.op) ? kFlagStore : 0));
-        d.dst = inst.dst;
-        d.srcA = inst.srcA;
-        d.srcB = inst.srcB;
-        d.vl = std::max<uint16_t>(inst.vl, 1);
-        d.stride = inst.stride;
-        prog->code.push_back(d);
+    std::array<OpFacts, numOpcodes> rows;
+    for (size_t i = 0; i < numOpcodes; ++i) {
+        Instruction probe;  // any register: the space is per-op
+        probe.op = static_cast<Opcode>(i);
+        probe.dst = 0;
+        OpFacts &f = rows[i];
+        f.fu = fuClass(probe.op);
+        f.flags = static_cast<uint8_t>(
+            (isMemory(probe.op) ? kFlagMem : 0) |
+            (isLoad(probe.op) ? kFlagLoad : 0) |
+            (isVector(probe.op) ? kFlagVector : 0) |
+            (probe.op == Opcode::SBranch ? kFlagBranch : 0) |
+            (isStore(probe.op) ? kFlagStore : 0));
+        f.dstLimit = limit(probe.dstSpace());
+        f.srcLimit = limit(probe.srcSpace());
+        f.vlLimit = isVector(probe.op) ? maxVectorLength : UINT16_MAX;
     }
-    return prog;
+    return rows;
+}();
+
+/**
+ * The fetch-time operand check over the opcode's row: true when every
+ * register index and the vector length are in range. The ORs are
+ * bitwise so the all-valid fetch takes one branch; on false,
+ * checkOperands() reports the first error, as every kernel does.
+ */
+inline bool
+operandsInRange(const Instruction &inst, const OpFacts &f)
+{
+    const auto inRange = [](uint8_t reg, int limit) {
+        return reg == noReg || reg < limit;
+    };
+    return inRange(inst.dst, f.dstLimit) & inRange(inst.srcA, f.srcLimit) &
+           inRange(inst.srcB, f.srcLimit) & (inst.vl <= f.vlLimit);
 }
 
 /**
- * Process-wide decode cache, keyed on the shared stream object (the
- * held `raw` pointer keeps the key address alive). Extends the
- * makeProgram() stream cache from shared bytes to shared decode:
- * every point over the same cached stream decodes it once. Bounded
- * like that cache (each entry pins its raw stream too): a full cache
- * is cleared wholesale, and lanes hold their own reference, so a
- * clear never frees a decode in use.
+ * One program as a lane runs it: the source's shared stream, held
+ * for the lane's lifetime only and read in place.
  */
-std::shared_ptr<const DecodedProgram>
-decodedProgram(const InstructionSource &source)
+struct LaneProgram
 {
-    auto raw = source.sharedStream();
-    MTV_ASSERT(raw);
-    constexpr size_t maxCachedDecodes = 64;
-    static std::mutex mutex;
-    static std::unordered_map<const void *,
-                              std::shared_ptr<const DecodedProgram>>
-        cache;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        auto it = cache.find(raw.get());
-        if (it != cache.end())
-            return it->second;
-    }
-    // Decode outside the lock (streams run to ~100k instructions);
-    // a racing duplicate decode is identical, last insert wins.
-    auto prog = decodeStream(source.name(), std::move(raw));
-    std::lock_guard<std::mutex> lock(mutex);
-    if (cache.size() >= maxCachedDecodes)
-        cache.clear();
-    return cache[prog->raw.get()] = prog;
-}
+    std::shared_ptr<const std::vector<Instruction>> stream;
+    std::string name;
+};
 
 // ---------------------------------------------------------------------
 // The fast lane
@@ -168,14 +121,16 @@ decodedProgram(const InstructionSource &source)
 
 /**
  * Per-context state, flat. Mirrors mtv::Context with the one-deep
- * window collapsed to a single decoded-instruction pointer and the
- * source cursor inlined (no virtual next(), no Instruction copies).
+ * window collapsed to a pointer into the shared stream and the source
+ * cursor inlined (no virtual next(), no Instruction copies).
  */
 struct FastContext
 {
-    const DecodedProgram *prog = nullptr;  ///< null: empty context
-    size_t pos = 0;                        ///< fetch cursor
-    const DecodedInst *head = nullptr;     ///< the 1-deep window
+    const LaneProgram *prog = nullptr;  ///< null: empty context
+    const Instruction *next = nullptr;  ///< fetch cursor into prog
+    const Instruction *end = nullptr;   ///< end of prog's stream
+    const Instruction *head = nullptr;  ///< the 1-deep window
+    OpFacts facts;                      ///< head's opcode row
     bool finished = false;
     bool restartable = false;
     uint64_t fetchReadyAt = 0;
@@ -186,19 +141,16 @@ struct FastContext
     int jobIndex = -1;
 
     bool hasWork() const { return !finished || head; }
-};
 
-/** Machines the fast lane's specialization covers exactly. Bounded
- *  renaming (renameDepth > 0) is excluded like decoupling: both add
- *  per-context pool state the SoA fast lane does not model, so such
- *  points take the generic (Event) fallback. Infinite-pool renaming
- *  and multi-port memory are handled natively. */
-bool
-fastLaneShape(const MachineParams &params)
-{
-    return params.decodeWidth == 1 && !params.dualScalar &&
-           params.decoupleDepth == 0 && params.renameDepth == 0;
-}
+    /** Start fetching @p program from its first instruction. */
+    void
+    load(const LaneProgram *program)
+    {
+        prog = program;
+        next = program->stream->data();
+        end = next + program->stream->size();
+    }
+};
 
 /**
  * One point's machine, run to completion by run(). Equivalent to
@@ -207,8 +159,7 @@ fastLaneShape(const MachineParams &params)
 class FastLane
 {
   public:
-    FastLane(const BatchPoint &point,
-             std::vector<std::shared_ptr<const DecodedProgram>> programs)
+    FastLane(const BatchPoint &point, std::vector<LaneProgram> programs)
         : params_(point.params), mem_(params_),
           mode_(point.kind == BatchPoint::Kind::JobQueue
                     ? RunMode::JobQueue
@@ -218,7 +169,7 @@ class FastLane
                                : 0),
           programs_(std::move(programs))
     {
-        MTV_ASSERT(fastLaneShape(params_));
+        MTV_ASSERT(fallbackReason(params_) == FallbackReason::None);
         contexts_.resize(params_.contexts);
         lastSelected_.assign(params_.contexts, 0);
         scanWhy_.assign(params_.contexts, BlockReason::NoWork);
@@ -237,27 +188,25 @@ class FastLane
         switch (point.kind) {
           case BatchPoint::Kind::Single: {
             FastContext &ctx0 = contexts_[0];
-            ctx0.prog = programs_[0].get();
+            ctx0.load(&programs_[0]);
             ctx0.stats.program = ctx0.prog->name;
             break;
           }
           case BatchPoint::Kind::Group:
             for (size_t i = 0; i < programs_.size(); ++i) {
                 FastContext &ctx = contexts_[i];
-                ctx.prog = programs_[i].get();
+                ctx.load(&programs_[i]);
                 ctx.restartable = i != 0;
                 ctx.stats.program = ctx.prog->name;
             }
             break;
           case BatchPoint::Kind::JobQueue:
-            for (const auto &job : programs_)
-                jobs_.push_back(job.get());
             for (auto &ctx : contexts_) {
-                if (nextJob_ >= jobs_.size()) {
+                if (nextJob_ >= programs_.size()) {
                     ctx.finished = true;
                     continue;
                 }
-                ctx.prog = jobs_[nextJob_];
+                ctx.load(&programs_[nextJob_]);
                 ctx.stats.program = ctx.prog->name;
                 ctx.jobIndex = static_cast<int>(jobRecords_.size());
                 jobRecords_.push_back(
@@ -335,8 +284,8 @@ class FastLane
         BlockReason why = BlockReason::NoWork;
         if (ctx.head || refillWindow(ctx, now_, why)) {
             DispatchPlan plan{};
-            if (planHead(ctx, *ctx.head, now_, plan, why)) {
-                commit(ctx, *ctx.head, plan, now_);
+            if (planHead(ctx, now_, plan, why)) {
+                commit(ctx, plan, now_);
                 lastDispatchCycle_ = now_;
                 ++stateHist_[static_cast<size_t>(stateBits(now_))];
                 histPending_ = now_ + 1;
@@ -407,11 +356,11 @@ class FastLane
 
     // --- the deferred joint-state histogram ---
 
-    /** The ports serving @p d (the portsFor() split, pre-resolved). */
+    /** The ports serving an op (the portsFor() split, pre-resolved). */
     const std::vector<MemPort *> &
-    portsForInst(const DecodedInst &d) const
+    portsFor(const OpFacts &f) const
     {
-        return d.flags & kFlagStore ? *storePorts_ : *loadPorts_;
+        return f.flags & kFlagStore ? *storePorts_ : *loadPorts_;
     }
 
     /** Joint (FU2, FU1, LD) busy bits at @p now (stateBitsAt, with the
@@ -542,50 +491,62 @@ class FastLane
                 break;
             }
 
-            if (ctx.pos < ctx.prog->code.size()) {
-                ctx.head = &ctx.prog->code[ctx.pos++];
+            if (ctx.next != ctx.end) {
+                const Instruction &inst = *ctx.next++;
+                const auto op = static_cast<size_t>(inst.op);
+                MTV_ASSERT(op < numOpcodes);
+                ctx.facts = opFactsTable[op];
+                if (!operandsInRange(inst, ctx.facts))
+                    checkOperands(inst);  // fatal()s with the reason
+                ctx.head = &inst;
                 break;  // window full (depth 1)
             }
-
-            // End of the current run.
-            if (mode_ == RunMode::JobQueue) {
-                if (ctx.jobIndex >= 0) {
-                    jobRecords_[ctx.jobIndex].endCycle =
-                        ctx.stats.lastCompletion;
-                    ctx.jobIndex = -1;
-                }
-                ++ctx.stats.runsCompleted;
-                if (nextJob_ < jobs_.size()) {
-                    ctx.prog = jobs_[nextJob_++];
-                    ctx.pos = 0;
-                    ctx.stats.instructionsThisRun = 0;
-                    ctx.jobIndex = static_cast<int>(jobRecords_.size());
-                    jobRecords_.push_back(
-                        {ctx.prog->name,
-                         static_cast<int>(&ctx - contexts_.data()), now,
-                         0});
-                    continue;
-                }
-                ctx.finished = true;
+            if (!startNextRun(ctx, now))
                 break;
-            }
-
-            if (ctx.restartable) {
-                ++ctx.stats.runsCompleted;
-                ctx.stats.instructionsThisRun = 0;
-                ctx.pos = 0;
-                continue;
-            }
-
-            ctx.finished = true;
-            ctx.stats.runsCompleted = 1;
-            break;
         }
 
         if (ctx.head)
             return true;
         why = fetchStalled ? BlockReason::FetchStall
                            : BlockReason::NoWork;
+        return false;
+    }
+
+    /** End of the current run: take the next job or restart the
+     *  program (true: keep fetching), or finish the context. Once
+     *  per run, so kept out of the inlined fetch path. */
+    [[gnu::noinline]] bool
+    startNextRun(FastContext &ctx, uint64_t now)
+    {
+        if (mode_ == RunMode::JobQueue) {
+            if (ctx.jobIndex >= 0) {
+                jobRecords_[ctx.jobIndex].endCycle =
+                    ctx.stats.lastCompletion;
+                ctx.jobIndex = -1;
+            }
+            ++ctx.stats.runsCompleted;
+            if (nextJob_ < programs_.size()) {
+                ctx.load(&programs_[nextJob_++]);
+                ctx.stats.instructionsThisRun = 0;
+                ctx.jobIndex = static_cast<int>(jobRecords_.size());
+                jobRecords_.push_back(
+                    {ctx.prog->name,
+                     static_cast<int>(&ctx - contexts_.data()), now, 0});
+                return true;
+            }
+            ctx.finished = true;
+            return false;
+        }
+
+        if (ctx.restartable) {
+            ++ctx.stats.runsCompleted;
+            ctx.stats.instructionsThisRun = 0;
+            ctx.load(ctx.prog);
+            return true;
+        }
+
+        ctx.finished = true;
+        ctx.stats.runsCompleted = 1;
         return false;
     }
 
@@ -600,37 +561,39 @@ class FastLane
 
     // --- dispatch (mirrors DispatchUnit::planDispatch/commit) ---
 
-    /** Earliest pipe/bus state change on the ports serving @p d. */
+    /** Earliest pipe/bus state change on the ports serving @p f. */
     uint64_t
-    nextPortEvent(const DecodedInst &d, uint64_t now) const
+    nextPortEvent(const OpFacts &f, uint64_t now) const
     {
         EventMin em(now);
-        for (const MemPort *port : portsForInst(d))
+        for (const MemPort *port : portsFor(f))
             em.consider(port->nextEventAfter(now));
         return em.next;
     }
 
     bool
-    planHead(const FastContext &ctx, const DecodedInst &d, uint64_t now,
-             DispatchPlan &plan, BlockReason &why)
+    planHead(const FastContext &ctx, uint64_t now, DispatchPlan &plan,
+             BlockReason &why)
     {
-        if (d.fu == FuClass::Scalar) {
-            for (const uint8_t src : {d.srcA, d.srcB}) {
+        const Instruction &inst = *ctx.head;
+        const OpFacts &f = ctx.facts;
+        if (f.fu == FuClass::Scalar) {
+            for (const uint8_t src : {inst.srcA, inst.srcB}) {
                 if (src != noReg && ctx.scalarReady[src] > now) {
                     why = BlockReason::ScalarDep;
                     unblockAt_ = ctx.scalarReady[src];
                     return false;
                 }
             }
-            if (d.dst != noReg && ctx.scalarReady[d.dst] > now) {
+            if (inst.dst != noReg && ctx.scalarReady[inst.dst] > now) {
                 why = BlockReason::ScalarDep;
-                unblockAt_ = ctx.scalarReady[d.dst];
+                unblockAt_ = ctx.scalarReady[inst.dst];
                 return false;
             }
-            if (d.flags & kFlagMem) {
+            if (f.flags & kFlagMem) {
                 plan.port = nullptr;
                 uint64_t busFree = 0;
-                for (MemPort *port : portsForInst(d)) {
+                for (MemPort *port : portsFor(f)) {
                     if (port->bus.freeAt(now)) {
                         plan.port = port;
                         break;
@@ -649,16 +612,16 @@ class FastLane
             plan.start = now;
             plan.scalarReady =
                 now + static_cast<uint64_t>(
-                          latByOp_[static_cast<size_t>(d.op)]);
+                          latByOp_[static_cast<size_t>(inst.op)]);
             plan.completion =
-                d.op == Opcode::SStore ? now + 1 : plan.scalarReady;
+                inst.op == Opcode::SStore ? now + 1 : plan.scalarReady;
             return true;
         }
 
-        const uint16_t vl = d.vl;
+        const uint16_t vl = std::max<uint16_t>(inst.vl, 1);
 
-        if (d.fu == FuClass::VecAny || d.fu == FuClass::VecFu2) {
-            if (d.fu == FuClass::VecFu2) {
+        if (f.fu == FuClass::VecAny || f.fu == FuClass::VecFu2) {
+            if (f.fu == FuClass::VecFu2) {
                 if (!pipes_.fu2().freeAt(now)) {
                     why = BlockReason::FuBusy;
                     unblockAt_ = pipes_.fu2().freeCycle();
@@ -678,7 +641,7 @@ class FastLane
 
             uint64_t chainStart = 0;
             int bankReads[numVRegs / 2] = {};
-            for (const uint8_t src : {d.srcA, d.srcB}) {
+            for (const uint8_t src : {inst.srcA, inst.srcB}) {
                 if (src == noReg)
                     continue;
                 const VRegTiming &reg = ctx.vregs[src];
@@ -692,20 +655,20 @@ class FastLane
                 }
                 ++bankReads[vregBank(src)];
             }
-            if (d.srcA != noReg && d.srcA == d.srcB)
-                --bankReads[vregBank(d.srcA)];
+            if (inst.srcA != noReg && inst.srcA == inst.srcB)
+                --bankReads[vregBank(inst.srcA)];
 
-            const bool isReduce = d.op == Opcode::VReduce;
+            const bool isReduce = inst.op == Opcode::VReduce;
             if (!isReduce) {
-                const VRegTiming &dst = ctx.vregs[d.dst];
+                const VRegTiming &dst = ctx.vregs[inst.dst];
                 if (!params_.renaming && !dst.idleAt(now)) {
                     why = BlockReason::DestBusy;
                     unblockAt_ = std::max(dst.writeDone, dst.readBusy);
                     return false;
                 }
-            } else if (d.dst != noReg && ctx.scalarReady[d.dst] > now) {
+            } else if (inst.dst != noReg && ctx.scalarReady[inst.dst] > now) {
                 why = BlockReason::ScalarDep;
-                unblockAt_ = ctx.scalarReady[d.dst];
+                unblockAt_ = ctx.scalarReady[inst.dst];
                 return false;
             }
 
@@ -727,9 +690,9 @@ class FastLane
                     }
                 }
                 if (!isReduce && !params_.renaming &&
-                    !ctx.banks[vregBank(d.dst)].writeFreeAt(now)) {
+                    !ctx.banks[vregBank(inst.dst)].writeFreeAt(now)) {
                     why = BlockReason::BankPortBusy;
-                    unblockAt_ = ctx.banks[vregBank(d.dst)].writeUntil;
+                    unblockAt_ = ctx.banks[vregBank(inst.dst)].writeUntil;
                     return false;
                 }
             }
@@ -737,7 +700,7 @@ class FastLane
             const uint64_t r0 = std::max(
                 now + static_cast<uint64_t>(params_.vectorStartup),
                 chainStart);
-            const int fuLat = latByOp_[static_cast<size_t>(d.op)];
+            const int fuLat = latByOp_[static_cast<size_t>(inst.op)];
             plan.start = r0;
             plan.prodFirst =
                 r0 + params_.readXbar + fuLat + params_.writeXbar;
@@ -752,10 +715,10 @@ class FastLane
             return true;
         }
 
-        if (d.fu == FuClass::VecLoad) {
+        if (f.fu == FuClass::VecLoad) {
             plan.port = nullptr;
             bool anyPipeFree = false;
-            for (MemPort *port : portsForInst(d)) {
+            for (MemPort *port : portsFor(f)) {
                 if (!port->pipe.freeAt(now))
                     continue;
                 anyPipeFree = true;
@@ -770,24 +733,24 @@ class FastLane
                 // The pipe/port reason can flip mid-wait, so stop at
                 // the next port event and replan rather than jumping
                 // to the final dispatch time in one span.
-                unblockAt_ = nextPortEvent(d, now);
+                unblockAt_ = nextPortEvent(f, now);
                 return false;
             }
-            const VRegTiming &dst = ctx.vregs[d.dst];
+            const VRegTiming &dst = ctx.vregs[inst.dst];
             if (!params_.renaming && !dst.idleAt(now)) {
                 why = BlockReason::DestBusy;
                 unblockAt_ = std::max(dst.writeDone, dst.readBusy);
                 return false;
             }
             if (params_.modelBankPorts && !params_.renaming &&
-                !ctx.banks[vregBank(d.dst)].writeFreeAt(now)) {
+                !ctx.banks[vregBank(inst.dst)].writeFreeAt(now)) {
                 why = BlockReason::BankPortBusy;
-                unblockAt_ = ctx.banks[vregBank(d.dst)].writeUntil;
+                unblockAt_ = ctx.banks[vregBank(inst.dst)].writeUntil;
                 return false;
             }
-            const bool indexed = d.op == Opcode::VGather;
+            const bool indexed = inst.op == Opcode::VGather;
             const int period =
-                mem_.memory().deliveryPeriod(d.stride, indexed);
+                mem_.memory().deliveryPeriod(inst.stride, indexed);
             plan.unit = DispatchPlan::Unit::Mem;
             plan.start =
                 now + static_cast<uint64_t>(params_.vectorStartup);
@@ -802,10 +765,10 @@ class FastLane
             return true;
         }
 
-        MTV_ASSERT(d.fu == FuClass::VecStore);
+        MTV_ASSERT(f.fu == FuClass::VecStore);
         plan.port = nullptr;
         bool anyPipeFree = false;
-        for (MemPort *port : portsForInst(d)) {
+        for (MemPort *port : portsFor(f)) {
             if (!port->pipe.freeAt(now))
                 continue;
             anyPipeFree = true;
@@ -817,10 +780,10 @@ class FastLane
         if (!plan.port) {
             why = anyPipeFree ? BlockReason::MemPortBusy
                               : BlockReason::MemPipeBusy;
-            unblockAt_ = nextPortEvent(d, now);
+            unblockAt_ = nextPortEvent(f, now);
             return false;
         }
-        const VRegTiming &src = ctx.vregs[d.srcA];
+        const VRegTiming &src = ctx.vregs[inst.srcA];
         uint64_t chainStart = 0;
         if (!src.completeAt(now)) {
             if (!src.chainable) {
@@ -831,9 +794,9 @@ class FastLane
             chainStart = src.prodFirst + 1;
         }
         if (params_.modelBankPorts &&
-            ctx.banks[vregBank(d.srcA)].freeReadPorts(now) < 1) {
+            ctx.banks[vregBank(inst.srcA)].freeReadPorts(now) < 1) {
             why = BlockReason::BankPortBusy;
-            const BankPorts &bank = ctx.banks[vregBank(d.srcA)];
+            const BankPorts &bank = ctx.banks[vregBank(inst.srcA)];
             unblockAt_ =
                 std::min(bank.readUntil[0], bank.readUntil[1]);
             return false;
@@ -848,21 +811,22 @@ class FastLane
     }
 
     void
-    commit(FastContext &ctx, const DecodedInst &d,
-           const DispatchPlan &plan, uint64_t now)
+    commit(FastContext &ctx, const DispatchPlan &plan, uint64_t now)
     {
+        const Instruction &inst = *ctx.head;
+        const OpFacts &f = ctx.facts;
         // The occupations below invalidate the frozen intervals the
         // deferred histogram relies on: integrate up to here first.
         flushHist(now);
-        const uint16_t vl = d.vl;
+        const uint16_t vl = std::max<uint16_t>(inst.vl, 1);
 
         switch (plan.unit) {
           case DispatchPlan::Unit::Scalar:
-            if (d.dst != noReg)
-                ctx.scalarReady[d.dst] = plan.scalarReady;
-            if (d.flags & kFlagMem)
+            if (inst.dst != noReg)
+                ctx.scalarReady[inst.dst] = plan.scalarReady;
+            if (f.flags & kFlagMem)
                 plan.port->bus.reserve(now, 1);
-            if (d.flags & kFlagBranch) {
+            if (f.flags & kFlagBranch) {
                 ctx.fetchReadyAt =
                     now + 1 +
                     static_cast<uint64_t>(params_.branchStall);
@@ -881,22 +845,22 @@ class FastLane
                 vecOpsFu2_ += vl;
 
             const uint64_t readUntil = plan.start + vl;
-            for (const uint8_t src : {d.srcA, d.srcB}) {
+            for (const uint8_t src : {inst.srcA, inst.srcB}) {
                 if (src == noReg)
                     continue;
                 VRegTiming &reg = ctx.vregs[src];
                 reg.readBusy = std::max(reg.readBusy, readUntil);
                 ctx.banks[vregBank(src)].takeReadPort(now, readUntil);
             }
-            if (d.op == Opcode::VReduce) {
-                if (d.dst != noReg)
-                    ctx.scalarReady[d.dst] = plan.scalarReady;
+            if (inst.op == Opcode::VReduce) {
+                if (inst.dst != noReg)
+                    ctx.scalarReady[inst.dst] = plan.scalarReady;
             } else {
-                VRegTiming &dst = ctx.vregs[d.dst];
+                VRegTiming &dst = ctx.vregs[inst.dst];
                 dst.prodFirst = plan.prodFirst;
                 dst.writeDone = plan.writeDone;
                 dst.chainable = plan.chainableOut;
-                ctx.banks[vregBank(d.dst)].writeUntil = plan.writeDone;
+                ctx.banks[vregBank(inst.dst)].writeUntil = plan.writeDone;
             }
             break;
           }
@@ -904,17 +868,17 @@ class FastLane
           case DispatchPlan::Unit::Mem: {
             plan.port->pipe.occupy(plan.start, plan.pipeUntil);
             plan.port->bus.reserve(plan.start, vl);
-            if (d.flags & kFlagLoad) {
-                VRegTiming &dst = ctx.vregs[d.dst];
+            if (f.flags & kFlagLoad) {
+                VRegTiming &dst = ctx.vregs[inst.dst];
                 dst.prodFirst = plan.prodFirst;
                 dst.writeDone = plan.writeDone;
                 dst.chainable = plan.chainableOut;
-                ctx.banks[vregBank(d.dst)].writeUntil = plan.writeDone;
+                ctx.banks[vregBank(inst.dst)].writeUntil = plan.writeDone;
             } else {
-                VRegTiming &src = ctx.vregs[d.srcA];
+                VRegTiming &src = ctx.vregs[inst.srcA];
                 const uint64_t readUntil = plan.start + vl;
                 src.readBusy = std::max(src.readBusy, readUntil);
-                ctx.banks[vregBank(d.srcA)].takeReadPort(now, readUntil);
+                ctx.banks[vregBank(inst.srcA)].takeReadPort(now, readUntil);
             }
             break;
           }
@@ -923,7 +887,7 @@ class FastLane
         ++dispatches_;
         ++ctx.stats.instructions;
         ++ctx.stats.instructionsThisRun;
-        if (d.flags & kFlagVector)
+        if (f.flags & kFlagVector)
             ++ctx.stats.vectorInstructions;
         else
             ++ctx.stats.scalarInstructions;
@@ -943,8 +907,8 @@ class FastLane
         bool dispatched = false;
         if (ensureWindow(held, now, heldWhy)) {
             DispatchPlan plan{};
-            if (planHead(held, *held.head, now, plan, heldWhy)) {
-                commit(held, *held.head, plan, now);
+            if (planHead(held, now, plan, heldWhy)) {
+                commit(held, plan, now);
                 lastDispatchCycle_ = now;
                 dispatched = true;
             }
@@ -976,7 +940,7 @@ class FastLane
             BlockReason why = BlockReason::NoWork;
             if (ensureWindow(ctx, now, why)) {
                 DispatchPlan plan{};
-                if (planHead(ctx, *ctx.head, now, plan, why))
+                if (planHead(ctx, now, plan, why))
                     why = BlockReason::None;
             }
             scanWhy_[c] = why;
@@ -1074,25 +1038,26 @@ class FastLane
     {
         if (!ctx.head)
             return;
-        const DecodedInst &d = *ctx.head;
+        const Instruction &inst = *ctx.head;
+        const OpFacts &f = ctx.facts;
 
-        if (d.fu == FuClass::Scalar) {
-            for (const uint8_t reg : {d.srcA, d.srcB, d.dst}) {
+        if (f.fu == FuClass::Scalar) {
+            for (const uint8_t reg : {inst.srcA, inst.srcB, inst.dst}) {
                 if (reg != noReg)
                     em.consider(ctx.scalarReady[reg]);
             }
-            if (d.flags & kFlagMem) {
-                for (const MemPort *port : portsForInst(d))
+            if (f.flags & kFlagMem) {
+                for (const MemPort *port : portsFor(f))
                     em.consider(port->bus.freeCycle());
             }
             return;
         }
 
-        if (d.fu == FuClass::VecAny || d.fu == FuClass::VecFu2) {
+        if (f.fu == FuClass::VecAny || f.fu == FuClass::VecFu2) {
             em.consider(pipes_.fu2().freeCycle());
-            if (d.fu == FuClass::VecAny)
+            if (f.fu == FuClass::VecAny)
                 em.consider(pipes_.fu1().freeCycle());
-            for (const uint8_t src : {d.srcA, d.srcB}) {
+            for (const uint8_t src : {inst.srcA, inst.srcB}) {
                 if (src == noReg)
                     continue;
                 const VRegTiming &reg = ctx.vregs[src];
@@ -1103,39 +1068,39 @@ class FastLane
                         em.now));
                 }
             }
-            if (d.op == Opcode::VReduce) {
-                if (d.dst != noReg)
-                    em.consider(ctx.scalarReady[d.dst]);
+            if (inst.op == Opcode::VReduce) {
+                if (inst.dst != noReg)
+                    em.consider(ctx.scalarReady[inst.dst]);
             } else if (!params_.renaming) {
-                const VRegTiming &dst = ctx.vregs[d.dst];
+                const VRegTiming &dst = ctx.vregs[inst.dst];
                 em.consider(dst.writeDone);
                 em.consider(dst.readBusy);
                 if (params_.modelBankPorts) {
                     em.consider(
-                        ctx.banks[vregBank(d.dst)].writeUntil);
+                        ctx.banks[vregBank(inst.dst)].writeUntil);
                 }
             }
             return;
         }
 
-        for (const MemPort *port : portsForInst(d))
+        for (const MemPort *port : portsFor(f))
             em.consider(port->nextEventAfter(em.now));
-        if (d.fu == FuClass::VecLoad) {
+        if (f.fu == FuClass::VecLoad) {
             if (!params_.renaming) {
-                const VRegTiming &dst = ctx.vregs[d.dst];
+                const VRegTiming &dst = ctx.vregs[inst.dst];
                 em.consider(dst.writeDone);
                 em.consider(dst.readBusy);
                 if (params_.modelBankPorts) {
                     em.consider(
-                        ctx.banks[vregBank(d.dst)].writeUntil);
+                        ctx.banks[vregBank(inst.dst)].writeUntil);
                 }
             }
         } else {
-            const VRegTiming &src = ctx.vregs[d.srcA];
+            const VRegTiming &src = ctx.vregs[inst.srcA];
             if (!src.chainable)
                 em.consider(src.writeDone);
             if (params_.modelBankPorts) {
-                em.consider(ctx.banks[vregBank(d.srcA)].nextEventAfter(
+                em.consider(ctx.banks[vregBank(inst.srcA)].nextEventAfter(
                     em.now));
             }
         }
@@ -1189,7 +1154,7 @@ class FastLane
             BlockReason why = BlockReason::NoWork;
             if (ensureWindow(held, now, why)) {
                 DispatchPlan plan{};
-                if (planHead(held, *held.head, now, plan, why))
+                if (planHead(held, now, plan, why))
                     why = BlockReason::None;
             }
             scanWhy_[currentThread_] = why;
@@ -1203,11 +1168,8 @@ class FastLane
             b.program = ctx.stats.program;
             b.reason = scanWhy_[c];
             b.windowDepth = ctx.head ? 1 : 0;
-            if (ctx.head) {
-                const size_t idx = static_cast<size_t>(
-                    ctx.head - ctx.prog->code.data());
-                b.windowHead = (*ctx.prog->raw)[idx].disasm();
-            }
+            if (ctx.head)
+                b.windowHead = ctx.head->disasm();
             blocked.push_back(std::move(b));
         }
         throw SimError(now, now - lastDispatchCycle_,
@@ -1230,7 +1192,6 @@ class FastLane
 
     // --- run bookkeeping ---
     RunMode mode_;
-    std::vector<const DecodedProgram *> jobs_;
     size_t nextJob_ = 0;
     uint64_t maxInstructions_;
     uint64_t lastDispatchCycle_ = 0;
@@ -1251,8 +1212,8 @@ class FastLane
     std::array<uint64_t, numFuStates> stateHist_{};
     std::vector<JobRecord> jobRecords_;
 
-    /** Keeps the shared decode alive for the lane's lifetime. */
-    std::vector<std::shared_ptr<const DecodedProgram>> programs_;
+    /** The point's programs (its jobs, in a job-queue run). */
+    std::vector<LaneProgram> programs_;
 };
 
 // ---------------------------------------------------------------------
@@ -1316,19 +1277,47 @@ runGenericPoint(const BatchPoint &point)
 SimStats
 runPoint(const BatchPoint &point)
 {
-    if (!fastLaneShape(point.params))
+    if (fallbackReason(point.params) != FallbackReason::None)
         return runGenericPoint(point);
-    std::vector<std::shared_ptr<const DecodedProgram>> programs;
+    std::vector<LaneProgram> programs;
     programs.reserve(point.sources.size());
     for (const InstructionSource *source : point.sources) {
-        if (!source->sharedStream())
+        auto stream = source->sharedStream();
+        if (!stream)
             return runGenericPoint(point);
-        programs.push_back(decodedProgram(*source));
+        programs.push_back({std::move(stream), source->name()});
     }
     return FastLane(point, std::move(programs)).run();
 }
 
 } // namespace
+
+FallbackReason
+fallbackReason(const MachineParams &params)
+{
+    if (params.decodeWidth != 1)
+        return FallbackReason::DecodeWidth;
+    if (params.dualScalar)
+        return FallbackReason::DualScalar;
+    if (params.decoupleDepth != 0)
+        return FallbackReason::DecoupleDepth;
+    if (params.renameDepth != 0)
+        return FallbackReason::RenameDepth;
+    return FallbackReason::None;
+}
+
+const char *
+fallbackReasonName(FallbackReason reason)
+{
+    switch (reason) {
+      case FallbackReason::None: return "none";
+      case FallbackReason::DecodeWidth: return "decodeWidth";
+      case FallbackReason::DualScalar: return "dualScalar";
+      case FallbackReason::DecoupleDepth: return "decoupleDepth";
+      case FallbackReason::RenameDepth: return "renameDepth";
+      default: return "unknown";
+    }
+}
 
 std::vector<BatchResult>
 runBatch(const std::vector<BatchPoint> &points)

@@ -1,14 +1,8 @@
 /**
  * @file
- * The fast-lane kernel (SimKernel::Batched): each point runs to
- * completion on a specialized fast lane, over programs decoded once
- * and shared by every point that runs them (DESIGN.md section 1.3).
- *
- *  - DecodedProgram: the per-instruction work that depends only on
- *    the instruction stream — functional-unit class, operand/bank
- *    indices, clamped vector length, operand validation — hoisted out
- *    of the per-cycle loop and cached process-wide next to the
- *    makeProgram() stream cache, with the same 64-entry bound.
+ * The fast-lane kernel (SimKernel::Batched, the engine's and mtvd's
+ * default): each point runs to completion on a specialized fast lane
+ * (DESIGN.md section 1.3).
  *
  *  - The fast lane: a transliteration of the event kernel
  *    (VectorSim::runEvent + DispatchUnit plan/commit/wakeups)
@@ -17,14 +11,20 @@
  *    flat structure-of-arrays context blocks (scoreboards, bank
  *    ports, blocked[] reasons) and no per-cycle allocation. A blocked
  *    single-context lane jumps straight to the threshold of its
- *    first-failing dispatch check. Points outside the fast lane's
- *    shape (dual-scalar, decode width > 1, decoupled, bounded
- *    renaming) run through a plain VectorSim(Event) — slower, never
- *    wrong.
+ *    first-failing dispatch check.
  *
- * Points share read-only decode state only, so every result is
- * bit-identical to the same point under the other kernels — the
- * invariant the golden digests pin.
+ *  - Programs are read in place: the lane holds each source's shared
+ *    stream (InstructionSource::sharedStream) for its own lifetime
+ *    only, takes per-opcode facts from one static table at fetch, and
+ *    checks every fetched instruction's operands as the event kernel
+ *    does. Nothing is cached across points.
+ *
+ *  - Points outside the fast lane's shape (fallbackReason() names
+ *    why) or with a source that holds no shared stream run through a
+ *    plain VectorSim(Event) — slower, never wrong.
+ *
+ * Every result is bit-identical to the same point under the other
+ * kernels — the invariant the golden digests pin.
  */
 
 #ifndef MTV_CORE_BATCH_KERNEL_HH
@@ -71,6 +71,29 @@ struct BatchResult
     SimStats stats;
     std::exception_ptr error;  ///< non-null: stats is meaningless
 };
+
+/**
+ * Why a machine runs on the generic (Event) path instead of the fast
+ * lane: the first shape predicate it fails, checked in this order.
+ * Decoupling and bounded renaming (renameDepth > 0) add per-context
+ * state the fast lane does not model; infinite-pool renaming and
+ * multi-port memory run on the fast lane.
+ */
+enum class FallbackReason : uint8_t
+{
+    None,           ///< in shape: the fast lane runs it
+    DecodeWidth,    ///< decodeWidth != 1
+    DualScalar,     ///< dualScalar
+    DecoupleDepth,  ///< decoupleDepth != 0
+    RenameDepth,    ///< renameDepth != 0
+    NumReasons
+};
+
+/** The first fast-lane shape predicate @p params fails. */
+FallbackReason fallbackReason(const MachineParams &params);
+
+/** The MachineParams field a reason names ("decodeWidth", ...). */
+const char *fallbackReasonName(FallbackReason reason);
 
 /**
  * Simulate every point, one after another, each to completion.

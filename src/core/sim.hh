@@ -26,14 +26,19 @@
  *
  *  - SimKernel::Stepped evaluates decode every cycle (the historical
  *    loop, kept as the executable specification);
- *  - SimKernel::Event (the default) runs the same per-cycle code
- *    while anything can dispatch, but when every context is blocked
- *    it jumps `now` straight to the earliest pending ready-time and
- *    integrates the per-cycle accounting over the skipped span.
+ *  - SimKernel::Event (the constructor's default) runs the same
+ *    per-cycle code while anything can dispatch, but when every
+ *    context is blocked it jumps `now` straight to the earliest
+ *    pending ready-time and integrates the per-cycle accounting over
+ *    the skipped span.
  *
  * Both kernels produce bit-identical SimStats (guarded by
  * tests/test_golden.cc and the CI kernel-parity job); the event
- * kernel is simply faster the longer the memory latency.
+ * kernel is simply faster the longer the memory latency. A third,
+ * SimKernel::Batched, hands each run to the fast lane of
+ * src/core/batch_kernel.hh; it is the engine's and mtvd's default
+ * (EngineOptions::kernel), whose sources always carry a shared
+ * stream.
  *
  * Timing model summary (see DESIGN.md section 3.3): dispatch is
  * in-order per thread (except the decoupled slip), one instruction
@@ -90,9 +95,10 @@ enum class SimKernel : uint8_t
     Stepped,
     /**
      * Fast lane (src/core/batch_kernel.hh): the event kernel
-     * specialized to one decode slot, over programs decoded once and
-     * shared process-wide; out-of-shape machines fall back to Event.
-     * Bit-identical to Event/Stepped (tests/test_golden.cc).
+     * specialized to one decode slot, reading each source's shared
+     * stream in place; out-of-shape machines and sources without a
+     * shared stream fall back to Event. Bit-identical to
+     * Event/Stepped (tests/test_golden.cc). The engine's default.
      */
     Batched
 };
@@ -104,7 +110,9 @@ const char *simKernelName(SimKernel kernel);
 class VectorSim
 {
   public:
-    /** Build a machine; @p params is validated (fatal on user error). */
+    /** Build a machine; @p params is validated (fatal on user error).
+     *  Event by default: direct callers often feed sources without a
+     *  shared stream, which the fast lane would hand back to Event. */
     explicit VectorSim(const MachineParams &params,
                        SimKernel kernel = SimKernel::Event);
 
@@ -194,13 +202,6 @@ class VectorSim
      * @return true when at least one instruction is waiting.
      */
     bool ensureWindow(Context &ctx, uint64_t now, BlockReason &why);
-
-    /**
-     * Validate a fetched instruction's register indices against the
-     * scoreboard/register-file sizes, so a corrupt trace or a buggy
-     * generator fails loudly instead of indexing out of bounds.
-     */
-    void checkOperands(const Instruction &inst) const;
 
     /** Window capacity for this machine. */
     size_t

@@ -77,6 +77,15 @@ struct Instruction
     std::string disasm() const;
 };
 
+/**
+ * Validate a fetched instruction's register indices against the
+ * scoreboard/register-file sizes and its vector length against
+ * maxVectorLength, so a corrupt trace or a buggy generator fails
+ * loudly (fatal()) instead of indexing out of bounds. Every kernel
+ * runs it on every fetch.
+ */
+void checkOperands(const Instruction &inst);
+
 /** Construct a scalar ALU instruction. */
 Instruction makeScalar(Opcode op, uint8_t dst, uint8_t srcA = noReg,
                        uint8_t srcB = noReg);

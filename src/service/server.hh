@@ -60,9 +60,9 @@ struct ServiceOptions : ListenOptions
     /** Engine memory-cache entry cap; 0 = unbounded. */
     size_t maxCacheEntries = 0;
     /** Simulation kernel the engine runs (mtvd --kernel). All three
-     *  produce bit-identical results; Batched runs each point on the
-     *  fast lane. */
-    SimKernel kernel = SimKernel::Event;
+     *  produce bit-identical results; Batched, the default, runs each
+     *  point on the fast lane. */
+    SimKernel kernel = EngineOptions{}.kernel;
 };
 
 /** The mtvd daemon core (the front end around an engine + store). */

@@ -16,6 +16,7 @@
 
 #include "src/common/endian.hh"
 #include "src/common/logging.hh"
+#include "src/common/strutil.hh"
 #include "src/store/stats_codec.hh"
 
 namespace mtv
@@ -61,9 +62,7 @@ isShardDirName(const std::string &name)
 std::string
 shardDirName(int shard)
 {
-    char name[16];
-    std::snprintf(name, sizeof(name), "shard-%02d", shard);
-    return name;
+    return format("shard-%02d", shard);
 }
 
 /** Names in @p dir matching @p keep, sorted. */

@@ -46,10 +46,9 @@ class InstructionSource
      * The whole run as one immutable shared vector, when the source
      * holds it in memory anyway (synthetic programs do; file readers
      * return nullptr). The batched kernel fast-lanes such sources:
-     * it keys its decoded-program cache on the vector object and
-     * retains this pointer, so cache entries never alias a recycled
-     * address. Sources without a shared stream simulate through the
-     * generic per-point path instead — slower, never wrong.
+     * it reads the vector in place and holds this pointer only while
+     * the run lasts. Sources without a shared stream simulate through
+     * the generic per-point path instead — slower, never wrong.
      */
     virtual std::shared_ptr<const std::vector<Instruction>>
     sharedStream() const

@@ -1,19 +1,25 @@
 /**
  * @file
- * Tests for the fast-lane kernel (SimKernel::Batched) through the
- * engine: bit-identity of its results against event-kernel runs and
- * across worker counts (the invariant tests/test_golden.cc pins with
- * digests; here pinned field-for-field with the stats codec), and the
- * bound on its process-wide decode cache.
+ * Tests for the fast-lane kernel (SimKernel::Batched, the engine's
+ * default) through the engine: bit-identity of its results against
+ * event-kernel runs and across worker counts (the invariant
+ * tests/test_golden.cc pins with digests; here pinned field-for-field
+ * with the stats codec), the fallback counter, and the in-place
+ * stream contract: a run holds its stream only while it lasts and
+ * checks every fetched operand as the event kernel does.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/api/engine.hh"
+#include "src/api/sweep.hh"
+#include "src/common/logging.hh"
+#include "src/obs/metrics.hh"
 #include "src/store/stats_codec.hh"
 #include "src/workload/suite.hh"
 
@@ -38,6 +44,87 @@ batchedOptions(int workers = 1)
     EngineOptions options(workers);
     options.kernel = SimKernel::Batched;
     return options;
+}
+
+/** A fast-lane-eligible source over a stream the test holds. */
+class SharedSource : public InstructionSource
+{
+  public:
+    explicit SharedSource(std::vector<Instruction> code)
+        : stream_(std::make_shared<const std::vector<Instruction>>(
+              std::move(code)))
+    {}
+
+    bool
+    next(Instruction &out) override
+    {
+        if (pos_ >= stream_->size())
+            return false;
+        out = (*stream_)[pos_++];
+        return true;
+    }
+
+    void reset() override { pos_ = 0; }
+
+    const std::string &name() const override { return name_; }
+
+    std::shared_ptr<const std::vector<Instruction>>
+    sharedStream() const override
+    {
+        return stream_;
+    }
+
+  private:
+    std::string name_ = "shared";
+    std::shared_ptr<const std::vector<Instruction>> stream_;
+    size_t pos_ = 0;
+};
+
+/** What fatal() reported while running @p source on @p kernel. */
+std::string
+fatalMessage(SimKernel kernel, SharedSource &source)
+{
+    ScopedFatalAsException scope;
+    try {
+        VectorSim(MachineParams::reference(), kernel).runSingle(source);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "no error";
+}
+
+/** engine_kernel_fallback_total by reason, as registered now. */
+std::map<std::string, uint64_t>
+fallbackCounts()
+{
+    std::map<std::string, uint64_t> counts;
+    for (const char *reason :
+         {"decodeWidth", "dualScalar", "decoupleDepth", "renameDepth"}) {
+        counts[reason] =
+            MetricsRegistry::instance()
+                .counter(std::string("engine_kernel_fallback_total"
+                                     "{reason=\"") +
+                         reason + "\"}")
+                ->value();
+    }
+    return counts;
+}
+
+/** Fallback counts added by simulating @p family on a fresh engine. */
+std::map<std::string, uint64_t>
+fallbacksOfFamily(const std::string &family)
+{
+    SweepRequest request;
+    request.family = family;
+    request.scale = testScale;
+    const auto specs = expandSweep(request).take();
+    const auto before = fallbackCounts();
+    ExperimentEngine engine(EngineOptions(2));
+    engine.runAll(specs);
+    auto added = fallbackCounts();
+    for (auto &[reason, count] : added)
+        count -= before.at(reason);
+    return added;
 }
 
 /** Bit-identical stats via the lossless store codec. */
@@ -71,7 +158,9 @@ TEST(BatchEngine, RunAllMixedFamiliesMatchEventReference)
     ExperimentEngine batched(batchedOptions());
     const auto results = batched.runAll(specs);
 
-    ExperimentEngine reference;  // event kernel, spec at a time
+    EngineOptions eventOptions(1);
+    eventOptions.kernel = SimKernel::Event;
+    ExperimentEngine reference(eventOptions);
     ASSERT_EQ(results.size(), specs.size());
     for (size_t i = 0; i < specs.size(); ++i) {
         EXPECT_EQ(results[i].spec, specs[i]);
@@ -95,23 +184,76 @@ TEST(BatchEngine, FourWorkersBitIdenticalToOne)
         expectIdenticalStats(a[i].stats, b[i].stats);
 }
 
-TEST(BatchKernel, DecodeCacheReleasesStreamsUnderScaleChurn)
+TEST(BatchEngine, BatchedIsTheDefaultKernel)
 {
-    // A long-lived daemon fed a new scale per request must not pin
-    // every stream it ever decoded: once the makeProgram() stream
-    // cache and the decode cache have both cycled past a stream,
-    // only its outside holders keep it alive.
-    const MachineParams params = MachineParams::reference();
-    const auto runAt = [&params](double scale) {
-        VectorSim sim(params, SimKernel::Batched);
-        sim.runSingle(*makeProgram("flo52", scale));
+    EXPECT_EQ(EngineOptions{}.kernel, SimKernel::Batched);
+    EXPECT_EQ(ExperimentEngine(EngineOptions(1)).kernel(),
+              SimKernel::Batched);
+}
+
+TEST(BatchEngine, FallbackCounterNamesTheFirstFailingShapeRule)
+{
+    // ext-decoupled: 16 job-queue specs, one kernel call each; the 8
+    // decoupled machines fall back. The grouping sweep runs every
+    // point (and every reference term) on the fast lane.
+    const auto decoupled = fallbacksOfFamily("ext-decoupled");
+    EXPECT_EQ(decoupled.at("decoupleDepth"), 8u);
+    EXPECT_EQ(decoupled.at("decodeWidth"), 0u);
+    EXPECT_EQ(decoupled.at("dualScalar"), 0u);
+    EXPECT_EQ(decoupled.at("renameDepth"), 0u);
+    for (const auto &[reason, count] : fallbacksOfFamily("suite-grouping"))
+        EXPECT_EQ(count, 0u) << reason;
+
+    MachineParams wide = MachineParams::reference();
+    wide.decodeWidth = 2;
+    wide.dualScalar = true;
+    EXPECT_EQ(fallbackReason(wide), FallbackReason::DecodeWidth);
+    EXPECT_EQ(fallbackReason(MachineParams::reference()),
+              FallbackReason::None);
+}
+
+TEST(BatchKernel, RunHoldsNoReferenceToItsStream)
+{
+    // The fast lane reads the stream in place and caches nothing
+    // across points: after the run only the source holds it.
+    SharedSource source(makeProgram("flo52", testScale)->instructions());
+    const auto stream = source.sharedStream();
+    const long held = stream.use_count();
+    const SimStats batched =
+        VectorSim(MachineParams::reference(), SimKernel::Batched)
+            .runSingle(source);
+    EXPECT_EQ(stream.use_count(), held);
+    expectIdenticalStats(
+        batched, VectorSim(MachineParams::reference()).runSingle(source));
+}
+
+TEST(BatchKernel, FetchChecksOperandsLikeTheEventKernel)
+{
+    const auto prefix = [] {
+        return std::vector<Instruction>{
+            makeScalar(Opcode::SAddInt, 1, 2, 3),
+            makeVectorMem(Opcode::VLoad, 0, 64, 0x1000),
+            makeVectorArith(Opcode::VAdd, 1, 0, 0, 64)};
     };
-    const auto held = makeProgram("flo52", testScale)->sharedStream();
-    ASSERT_TRUE(held);
-    runAt(testScale);
-    for (int i = 1; i <= 130; ++i)
-        runAt(testScale * (1.0 + 0.001 * i));
-    EXPECT_EQ(held.use_count(), 1);
+
+    std::vector<Instruction> badReg = prefix();
+    badReg.push_back(makeVectorArith(Opcode::VMul, 2, 0, 1, 64));
+    badReg.back().dst = numVRegs;
+    SharedSource regSource(badReg);
+    const std::string regError = fatalMessage(SimKernel::Event, regSource);
+    EXPECT_NE(regError.find("out-of-range register 8"), std::string::npos)
+        << regError;
+    EXPECT_EQ(fatalMessage(SimKernel::Batched, regSource), regError);
+
+    std::vector<Instruction> longVl = prefix();
+    longVl.push_back(makeVectorArith(Opcode::VAdd, 2, 0, 1, 64));
+    longVl.back().vl = maxVectorLength + 1;
+    SharedSource vlSource(longVl);
+    const std::string vlError = fatalMessage(SimKernel::Event, vlSource);
+    EXPECT_NE(vlError.find("exceeds the maximum vector length"),
+              std::string::npos)
+        << vlError;
+    EXPECT_EQ(fatalMessage(SimKernel::Batched, vlSource), vlError);
 }
 
 } // namespace

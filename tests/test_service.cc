@@ -1082,6 +1082,9 @@ TEST_F(ServiceFixture, StatusOpReportsLifecycle)
     status.set("op", "status");
     const Json idle = roundTrip(channel, status);
     EXPECT_TRUE(idle.getBool("ok"));
+    // The fixture leaves the kernel at its default.
+    EXPECT_EQ(ServiceOptions{}.kernel, SimKernel::Batched);
+    EXPECT_EQ(idle.getString("kernel"), "batched");
     EXPECT_EQ(idle.get("queueDepth").asU64(), 0u);
     EXPECT_EQ(idle.get("activeRequests").asU64(), 0u);
     EXPECT_EQ(idle.get("connections").asArray().size(), 0u);

@@ -21,8 +21,9 @@
 set -euo pipefail
 
 BUILD_DIR=${1:?usage: fleet_smoke.sh <build-dir> [kill-scale]}
-# The mid-kill sweep must run long enough (~3s) for the kill to land
-# mid-stream; the plain digest checks use a faster scale.
+# The mid-kill sweep must still be streaming when its first point
+# arrives (the kill lands then); the plain digest checks use a faster
+# scale.
 KILL_SCALE=${2:-1e-4}
 QUICK_SCALE=1e-5
 WORK=$(mktemp -d /tmp/mtv_fleet_smoke.XXXXXX)
@@ -70,6 +71,17 @@ start_node() {
 
 digest_of() {  # digest_of <sweep output>
     echo "$1" | grep '^digest:' | awk '{print $2}'
+}
+
+# Wait (at most ~10s) until the --follow sweep writing <file> has
+# streamed its first point; fails if <pid> exits without one.
+wait_for_point() {  # wait_for_point <file> <pid>
+    for _ in $(seq 1 1000); do
+        grep -q '^point ' "$1" 2>/dev/null && return 0
+        kill -0 "$2" 2>/dev/null || break
+        sleep 0.01
+    done
+    grep -q '^point ' "$1" 2>/dev/null
 }
 
 echo "== start a 3-node fleet on ephemeral TCP ports =="
@@ -172,9 +184,11 @@ ROUTER_PID=""
 
 echo "== SIGKILL node 1 mid-sweep: the fleet must finish anyway =="
 "$BUILD_DIR/mtvctl" --fleet "$FLEET" sweep --scale "$KILL_SCALE" \
-    > "$WORK/killed_sweep.out" 2>&1 &
+    --follow > "$WORK/killed_sweep.out" 2>&1 &
 SWEEP_PID=$!
-sleep 1.5
+wait_for_point "$WORK/killed_sweep.out" "$SWEEP_PID" \
+    || { echo "FAIL: the fleet sweep streamed no point"; \
+         cat "$WORK/killed_sweep.out"; exit 1; }
 kill -9 "${NODE_PIDS[1]}"
 if ! wait "$SWEEP_PID"; then
     echo "FAIL: fleet sweep died with a node kill mid-flight"

@@ -364,7 +364,8 @@ printDigest(uint64_t digest)
                 static_cast<unsigned long long>(digest));
 }
 
-/** The --follow per-point line. */
+/** The --follow per-point line, flushed so a pipe or file sees each
+ *  point as it streams (the smoke scripts time their kills on it). */
 void
 printPoint(const RunResult &r, size_t seq, size_t total)
 {
@@ -376,6 +377,7 @@ printPoint(const RunResult &r, size_t seq, size_t total)
                     : "",
                 r.cached ? " (cache)"
                          : (r.fromStore ? " (store)" : ""));
+    std::fflush(stdout);
 }
 
 /** Render a compare response's rows (the Figure 6/12 table). */

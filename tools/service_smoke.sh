@@ -48,19 +48,32 @@ start_daemon() {
     exit 1
 }
 
-sweep() {
-    "$BUILD_DIR/mtvctl" --socket "$SOCKET" sweep --scale "$SCALE"
+sweep() {  # sweep [extra mtvctl sweep flags]
+    "$BUILD_DIR/mtvctl" --socket "$SOCKET" sweep --scale "$SCALE" "$@"
 }
 
 field() {  # field <name> <<< "served: simulated=N cache=N store=N"
     grep -o "$1=[0-9]*" | cut -d= -f2
 }
 
+# Wait (at most ~10s) until the --follow sweep writing <file> has
+# streamed its first point; fails if <pid> exits without one.
+wait_for_point() {  # wait_for_point <file> <pid>
+    for _ in $(seq 1 1000); do
+        grep -q '^point ' "$1" 2>/dev/null && return 0
+        kill -0 "$2" 2>/dev/null || break
+        sleep 0.01
+    done
+    grep -q '^point ' "$1" 2>/dev/null
+}
+
 echo "== start a sweep on a fresh store, SIGKILL the daemon mid-flight =="
 start_daemon
-sweep > "$WORK/killed_sweep.out" 2>&1 &
+sweep --follow > "$WORK/killed_sweep.out" 2>&1 &
 SWEEP_PID=$!
-sleep 0.4
+wait_for_point "$WORK/killed_sweep.out" "$SWEEP_PID" \
+    || { echo "FAIL: the sweep streamed no point"; \
+         cat "$WORK/killed_sweep.out"; exit 1; }
 kill -9 "$DAEMON_PID"
 wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=""
@@ -110,9 +123,11 @@ echo "== SIGKILL a CLIENT mid-sweep: daemon must reap and stay up =="
 # work behind (the $SCALE points are all store-served by now).
 KILL_SCALE=3e-4
 "$BUILD_DIR/mtvctl" --socket "$SOCKET" sweep --scale "$KILL_SCALE" \
-    > "$WORK/killed_client.out" 2>&1 &
+    --follow > "$WORK/killed_client.out" 2>&1 &
 CLIENT_PID=$!
-sleep 1
+wait_for_point "$WORK/killed_client.out" "$CLIENT_PID" \
+    || { echo "FAIL: the client's sweep streamed no point"; \
+         cat "$WORK/killed_client.out"; exit 1; }
 kill -9 "$CLIENT_PID" 2>/dev/null || true
 wait "$CLIENT_PID" 2>/dev/null || true
 
