@@ -201,8 +201,9 @@ BM_KernelBatched_Mth4Lat100(benchmark::State &state)
  * points, one engine task and one kernel call each. The one-worker
  * pair measures the kernels back to back; the four-worker pair
  * measures them at a realistic pool size, where a sweep's points
- * spread across workers — CI ratchets the batched:event ratio of
- * that pair with perf_gate.py --min-ratio.
+ * spread across workers. CI ratchets the batched sweep's four-worker
+ * over one-worker ratio with perf_gate.py --min-ratio: a sweep
+ * serialized onto one worker reads 1.0x, whatever the kernel's speed.
  */
 void
 runFig10Sweep(benchmark::State &state, SimKernel kernel, int workers)

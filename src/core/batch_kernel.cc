@@ -2,13 +2,13 @@
  * @file
  * The fast-lane kernel. The fast lane below is a transliteration of
  * the event kernel — VectorSim::runEvent plus
- * DispatchUnit::planDispatch/commit/considerWakeups — specialized to
- * the machine shape sweeps run (one decode slot, no decoupled slip,
- * so a one-deep fetch window), reading the sources' shared
- * instruction streams in place. Every fetch, operand check, charge
- * and ready-time write below mirrors its original
- * check-for-check; the golden digests (tests/test_golden.cc) and the
- * CI kernel-parity job keep the two in step. When you change
+ * DispatchUnit::planDispatch/commit — specialized to the machine
+ * shape sweeps run (one decode slot, no decoupled slip, so a one-deep
+ * fetch window), reading the sources' shared instruction streams in
+ * place. Every fetch, operand check, threshold, charge and ready-time
+ * write below mirrors its original check-for-check; the golden
+ * digests and the figure-pass differential (tests/test_golden.cc) and
+ * the CI kernel-parity job keep the two in step. When you change
  * dispatch semantics in src/core/dispatch.cc or run machinery in
  * src/core/sim.cc, change the mirror here.
  */
@@ -173,6 +173,7 @@ class FastLane
         contexts_.resize(params_.contexts);
         lastSelected_.assign(params_.contexts, 0);
         scanWhy_.assign(params_.contexts, BlockReason::NoWork);
+        unblockAt_.assign(params_.contexts, 0);
         for (int op = 0; op < static_cast<int>(Opcode::NumOpcodes); ++op)
             latByOp_[op] = params_.opLatency(static_cast<Opcode>(op));
         // Resolve MemSystem::portsFor once: the split is per op-class,
@@ -260,7 +261,7 @@ class FastLane
         } else {
             const uint64_t watchdogAt =
                 lastDispatchCycle_ + stallLimit_ + 1;
-            uint64_t wake = nextWakeup(now_);
+            uint64_t wake = wakeAfter(now_);
             if (wake == 0 || wake > watchdogAt)
                 wake = watchdogAt;
             accountIdleSpan(now_, wake);
@@ -272,7 +273,7 @@ class FastLane
     }
 
     /**
-     * The single-context step: the advance() loop with the context
+     * The single-context step: the advanceMulti() loop with the context
      * scan, thread-switch machinery and per-span accounting shells
      * collapsed. Reference-machine sweeps (the Figure 10 ratchet)
      * spend their whole run here.
@@ -284,7 +285,7 @@ class FastLane
         BlockReason why = BlockReason::NoWork;
         if (ctx.head || refillWindow(ctx, now_, why)) {
             DispatchPlan plan{};
-            if (planHead(ctx, now_, plan, why)) {
+            if (planHead(ctx, now_, plan, why, unblockAt_[0])) {
                 commit(ctx, plan, now_);
                 lastDispatchCycle_ = now_;
                 ++stateHist_[static_cast<size_t>(stateBits(now_))];
@@ -299,24 +300,12 @@ class FastLane
         }
         // Blocked: one reason covers the whole span (nothing commits
         // while blocked), so the cycle-by-cycle charges of the multi-
-        // context path collapse to one add. With a head, the span end
-        // comes straight from the failed plan: every dispatch predicate
-        // is monotone until the next commit, so the first-failing check
-        // (= the reason) cannot change before its own threshold, and
-        // intermediate wakeups the event kernel takes inside the span
-        // replan to the same reason. Jumping over them charges the same
-        // totals without enumerating every resource's next event.
+        // context path collapse to one add, up to the wakeAfter()
+        // target — with a head, its failed plan's threshold, read
+        // directly on this hot path.
         scanWhy_[0] = why;
         const uint64_t watchdogAt = lastDispatchCycle_ + stallLimit_ + 1;
-        uint64_t wake;
-        if (ctx.head) {
-            wake = unblockAt_;
-        } else {
-            EventMin em(now_);
-            em.consider(ctx.fetchReadyAt);
-            em.consider(ctx.stats.lastCompletion);
-            wake = em.next;
-        }
+        uint64_t wake = ctx.head ? unblockAt_[0] : wakeAfter(now_);
         if (wake <= now_ || wake > watchdogAt)
             wake = watchdogAt;
         const uint64_t span = wake - now_;
@@ -561,19 +550,9 @@ class FastLane
 
     // --- dispatch (mirrors DispatchUnit::planDispatch/commit) ---
 
-    /** Earliest pipe/bus state change on the ports serving @p f. */
-    uint64_t
-    nextPortEvent(const OpFacts &f, uint64_t now) const
-    {
-        EventMin em(now);
-        for (const MemPort *port : portsFor(f))
-            em.consider(port->nextEventAfter(now));
-        return em.next;
-    }
-
     bool
     planHead(const FastContext &ctx, uint64_t now, DispatchPlan &plan,
-             BlockReason &why)
+             BlockReason &why, uint64_t &unblockAt)
     {
         const Instruction &inst = *ctx.head;
         const OpFacts &f = ctx.facts;
@@ -581,13 +560,13 @@ class FastLane
             for (const uint8_t src : {inst.srcA, inst.srcB}) {
                 if (src != noReg && ctx.scalarReady[src] > now) {
                     why = BlockReason::ScalarDep;
-                    unblockAt_ = ctx.scalarReady[src];
+                    unblockAt = ctx.scalarReady[src];
                     return false;
                 }
             }
             if (inst.dst != noReg && ctx.scalarReady[inst.dst] > now) {
                 why = BlockReason::ScalarDep;
-                unblockAt_ = ctx.scalarReady[inst.dst];
+                unblockAt = ctx.scalarReady[inst.dst];
                 return false;
             }
             if (f.flags & kFlagMem) {
@@ -604,7 +583,7 @@ class FastLane
                 }
                 if (!plan.port) {
                     why = BlockReason::MemPortBusy;
-                    unblockAt_ = busFree;
+                    unblockAt = busFree;
                     return false;
                 }
             }
@@ -624,7 +603,7 @@ class FastLane
             if (f.fu == FuClass::VecFu2) {
                 if (!pipes_.fu2().freeAt(now)) {
                     why = BlockReason::FuBusy;
-                    unblockAt_ = pipes_.fu2().freeCycle();
+                    unblockAt = pipes_.fu2().freeCycle();
                     return false;
                 }
                 plan.unit = DispatchPlan::Unit::Fu2;
@@ -634,8 +613,8 @@ class FastLane
                 plan.unit = DispatchPlan::Unit::Fu2;
             } else {
                 why = BlockReason::FuBusy;
-                unblockAt_ = std::min(pipes_.fu1().freeCycle(),
-                                      pipes_.fu2().freeCycle());
+                unblockAt = std::min(pipes_.fu1().freeCycle(),
+                                     pipes_.fu2().freeCycle());
                 return false;
             }
 
@@ -648,7 +627,7 @@ class FastLane
                 if (!reg.completeAt(now)) {
                     if (!reg.chainable) {
                         why = BlockReason::SourceNotReady;
-                        unblockAt_ = reg.writeDone;
+                        unblockAt = reg.writeDone;
                         return false;
                     }
                     chainStart = std::max(chainStart, reg.prodFirst + 1);
@@ -663,12 +642,12 @@ class FastLane
                 const VRegTiming &dst = ctx.vregs[inst.dst];
                 if (!params_.renaming && !dst.idleAt(now)) {
                     why = BlockReason::DestBusy;
-                    unblockAt_ = std::max(dst.writeDone, dst.readBusy);
+                    unblockAt = std::max(dst.writeDone, dst.readBusy);
                     return false;
                 }
             } else if (inst.dst != noReg && ctx.scalarReady[inst.dst] > now) {
                 why = BlockReason::ScalarDep;
-                unblockAt_ = ctx.scalarReady[inst.dst];
+                unblockAt = ctx.scalarReady[inst.dst];
                 return false;
             }
 
@@ -680,7 +659,7 @@ class FastLane
                         // Need both ports => wait for the later one;
                         // need one (and both busy) => the earlier.
                         const BankPorts &bank = ctx.banks[b];
-                        unblockAt_ =
+                        unblockAt =
                             bankReads[b] >= 2
                                 ? std::max(bank.readUntil[0],
                                            bank.readUntil[1])
@@ -692,7 +671,7 @@ class FastLane
                 if (!isReduce && !params_.renaming &&
                     !ctx.banks[vregBank(inst.dst)].writeFreeAt(now)) {
                     why = BlockReason::BankPortBusy;
-                    unblockAt_ = ctx.banks[vregBank(inst.dst)].writeUntil;
+                    unblockAt = ctx.banks[vregBank(inst.dst)].writeUntil;
                     return false;
                 }
             }
@@ -730,22 +709,19 @@ class FastLane
             if (!plan.port) {
                 why = anyPipeFree ? BlockReason::MemPortBusy
                                   : BlockReason::MemPipeBusy;
-                // The pipe/port reason can flip mid-wait, so stop at
-                // the next port event and replan rather than jumping
-                // to the final dispatch time in one span.
-                unblockAt_ = nextPortEvent(f, now);
+                unblockAt = nextPortEvent(portsFor(f), now);
                 return false;
             }
             const VRegTiming &dst = ctx.vregs[inst.dst];
             if (!params_.renaming && !dst.idleAt(now)) {
                 why = BlockReason::DestBusy;
-                unblockAt_ = std::max(dst.writeDone, dst.readBusy);
+                unblockAt = std::max(dst.writeDone, dst.readBusy);
                 return false;
             }
             if (params_.modelBankPorts && !params_.renaming &&
                 !ctx.banks[vregBank(inst.dst)].writeFreeAt(now)) {
                 why = BlockReason::BankPortBusy;
-                unblockAt_ = ctx.banks[vregBank(inst.dst)].writeUntil;
+                unblockAt = ctx.banks[vregBank(inst.dst)].writeUntil;
                 return false;
             }
             const bool indexed = inst.op == Opcode::VGather;
@@ -780,7 +756,7 @@ class FastLane
         if (!plan.port) {
             why = anyPipeFree ? BlockReason::MemPortBusy
                               : BlockReason::MemPipeBusy;
-            unblockAt_ = nextPortEvent(f, now);
+            unblockAt = nextPortEvent(portsFor(f), now);
             return false;
         }
         const VRegTiming &src = ctx.vregs[inst.srcA];
@@ -788,7 +764,7 @@ class FastLane
         if (!src.completeAt(now)) {
             if (!src.chainable) {
                 why = BlockReason::SourceNotReady;
-                unblockAt_ = src.writeDone;
+                unblockAt = src.writeDone;
                 return false;
             }
             chainStart = src.prodFirst + 1;
@@ -797,7 +773,7 @@ class FastLane
             ctx.banks[vregBank(inst.srcA)].freeReadPorts(now) < 1) {
             why = BlockReason::BankPortBusy;
             const BankPorts &bank = ctx.banks[vregBank(inst.srcA)];
-            unblockAt_ =
+            unblockAt =
                 std::min(bank.readUntil[0], bank.readUntil[1]);
             return false;
         }
@@ -907,7 +883,8 @@ class FastLane
         bool dispatched = false;
         if (ensureWindow(held, now, heldWhy)) {
             DispatchPlan plan{};
-            if (planHead(held, now, plan, heldWhy)) {
+            if (planHead(held, now, plan, heldWhy,
+                         unblockAt_[currentThread_])) {
                 commit(held, plan, now);
                 lastDispatchCycle_ = now;
                 dispatched = true;
@@ -940,7 +917,7 @@ class FastLane
             BlockReason why = BlockReason::NoWork;
             if (ensureWindow(ctx, now, why)) {
                 DispatchPlan plan{};
-                if (planHead(ctx, now, plan, why))
+                if (planHead(ctx, now, plan, why, unblockAt_[c]))
                     why = BlockReason::None;
             }
             scanWhy_[c] = why;
@@ -1031,89 +1008,27 @@ class FastLane
             active[(p0 + (steps - 1)) % static_cast<uint64_t>(m)];
     }
 
-    // --- wakeups (mirrors Scheduler::nextWakeup + considerWakeups) ---
+    // --- the wake target (mirrors VectorSim::wakeAfter) ---
 
-    void
-    considerWakeups(const FastContext &ctx, EventMin &em) const
-    {
-        if (!ctx.head)
-            return;
-        const Instruction &inst = *ctx.head;
-        const OpFacts &f = ctx.facts;
-
-        if (f.fu == FuClass::Scalar) {
-            for (const uint8_t reg : {inst.srcA, inst.srcB, inst.dst}) {
-                if (reg != noReg)
-                    em.consider(ctx.scalarReady[reg]);
-            }
-            if (f.flags & kFlagMem) {
-                for (const MemPort *port : portsFor(f))
-                    em.consider(port->bus.freeCycle());
-            }
-            return;
-        }
-
-        if (f.fu == FuClass::VecAny || f.fu == FuClass::VecFu2) {
-            em.consider(pipes_.fu2().freeCycle());
-            if (f.fu == FuClass::VecAny)
-                em.consider(pipes_.fu1().freeCycle());
-            for (const uint8_t src : {inst.srcA, inst.srcB}) {
-                if (src == noReg)
-                    continue;
-                const VRegTiming &reg = ctx.vregs[src];
-                if (!reg.chainable)
-                    em.consider(reg.writeDone);
-                if (params_.modelBankPorts) {
-                    em.consider(ctx.banks[vregBank(src)].nextEventAfter(
-                        em.now));
-                }
-            }
-            if (inst.op == Opcode::VReduce) {
-                if (inst.dst != noReg)
-                    em.consider(ctx.scalarReady[inst.dst]);
-            } else if (!params_.renaming) {
-                const VRegTiming &dst = ctx.vregs[inst.dst];
-                em.consider(dst.writeDone);
-                em.consider(dst.readBusy);
-                if (params_.modelBankPorts) {
-                    em.consider(
-                        ctx.banks[vregBank(inst.dst)].writeUntil);
-                }
-            }
-            return;
-        }
-
-        for (const MemPort *port : portsFor(f))
-            em.consider(port->nextEventAfter(em.now));
-        if (f.fu == FuClass::VecLoad) {
-            if (!params_.renaming) {
-                const VRegTiming &dst = ctx.vregs[inst.dst];
-                em.consider(dst.writeDone);
-                em.consider(dst.readBusy);
-                if (params_.modelBankPorts) {
-                    em.consider(
-                        ctx.banks[vregBank(inst.dst)].writeUntil);
-                }
-            }
-        } else {
-            const VRegTiming &src = ctx.vregs[inst.srcA];
-            if (!src.chainable)
-                em.consider(src.writeDone);
-            if (params_.modelBankPorts) {
-                em.consider(ctx.banks[vregBank(inst.srcA)].nextEventAfter(
-                    em.now));
-            }
-        }
-    }
-
+    /**
+     * First cycle after @p now at which a blocked lane can change: a
+     * headed context's failed-plan threshold (every dispatch
+     * predicate is monotone until the next commit, so its first
+     * failing check, the reason, holds until then), a headless one's
+     * fetch gate or completion; 0 when nothing is pending.
+     */
     uint64_t
-    nextWakeup(uint64_t now) const
+    wakeAfter(uint64_t now) const
     {
         EventMin em(now);
-        for (const auto &ctx : contexts_) {
-            em.consider(ctx.fetchReadyAt);
-            em.consider(ctx.stats.lastCompletion);
-            considerWakeups(ctx, em);
+        for (int c = 0; c < params_.contexts; ++c) {
+            const FastContext &ctx = contexts_[c];
+            if (ctx.head) {
+                em.consider(unblockAt_[c]);
+            } else {
+                em.consider(ctx.fetchReadyAt);
+                em.consider(ctx.stats.lastCompletion);
+            }
         }
         return em.next;
     }
@@ -1154,7 +1069,8 @@ class FastLane
             BlockReason why = BlockReason::NoWork;
             if (ensureWindow(held, now, why)) {
                 DispatchPlan plan{};
-                if (planHead(held, now, plan, why))
+                if (planHead(held, now, plan, why,
+                             unblockAt_[currentThread_]))
                     why = BlockReason::None;
             }
             scanWhy_[currentThread_] = why;
@@ -1189,6 +1105,9 @@ class FastLane
     int currentThread_ = 0;
     std::vector<uint64_t> lastSelected_;
     std::vector<BlockReason> scanWhy_;
+    /** Per context: threshold of its last failed planHead(), the
+     *  first cycle at which that plan's blocking check can pass. */
+    std::vector<uint64_t> unblockAt_;
 
     // --- run bookkeeping ---
     RunMode mode_;
@@ -1200,9 +1119,6 @@ class FastLane
     bool finished_ = false;
     /** Start of the cycle region not yet in stateHist_. */
     uint64_t histPending_ = 0;
-    /** Threshold of the last failed planHead() predicate: the first
-     *  cycle at which that plan's blocking check can pass. */
-    uint64_t unblockAt_ = 0;
 
     // --- statistics ---
     uint64_t dispatches_ = 0;

@@ -5,13 +5,13 @@
  * (DESIGN.md section 1.3).
  *
  *  - The fast lane: a transliteration of the event kernel
- *    (VectorSim::runEvent + DispatchUnit plan/commit/wakeups)
- *    specialized to the machines sweeps actually run — one decode
- *    slot, no decoupled slip window — with precomputed latencies,
- *    flat structure-of-arrays context blocks (scoreboards, bank
- *    ports, blocked[] reasons) and no per-cycle allocation. A blocked
- *    single-context lane jumps straight to the threshold of its
- *    first-failing dispatch check.
+ *    (VectorSim::runEvent + DispatchUnit plan/commit) specialized to
+ *    the machines sweeps actually run — one decode slot, no
+ *    decoupled slip window — with precomputed latencies, flat
+ *    structure-of-arrays context blocks (scoreboards, bank ports,
+ *    blocked[] reasons) and no per-cycle allocation. A blocked lane
+ *    jumps straight to the earliest threshold of its contexts'
+ *    first-failing dispatch checks.
  *
  *  - Programs are read in place: the lane holds each source's shared
  *    stream (InstructionSource::sharedStream) for its own lifetime

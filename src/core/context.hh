@@ -3,8 +3,7 @@
  * The architectural state one hardware context owns: its instruction
  * source and fetch window, its scalar/vector scoreboards and register
  * bank ports, and its per-thread statistics. Shared by the dispatch
- * unit (which plans and commits against this state), the scheduler
- * (which reads the pending ready-times out of it) and the run
+ * unit (which plans and commits against this state) and the run
  * machinery in VectorSim.
  */
 

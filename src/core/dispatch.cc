@@ -82,19 +82,54 @@ takeRenameSlot(Context &ctx, const VRegTiming &dst, int depth)
     ctx.renameSlots[best] = std::max(dst.writeDone, dst.readBusy);
 }
 
+/**
+ * The WAW/WAR check on a vector destination: true when @p dst is
+ * idle or renaming hides the hazard. Renaming allocates a fresh
+ * physical register, so WAW and WAR hazards vanish (section 10
+ * extension). The bounded pool hides a hazard only while a spare slot
+ * is free (@p plan then claims one); with none, the stall is charged
+ * as DestBusy like the baseline's. False sets @p unblockAt to the
+ * first cycle the register idles or, with a bounded pool, a slot
+ * frees.
+ */
+bool
+destReady(const MachineParams &params, const Context &ctx,
+          const VRegTiming &dst, uint64_t now, DispatchPlan &plan,
+          uint64_t &unblockAt)
+{
+    if (dst.idleAt(now))
+        return true;
+    const uint64_t idleAt = std::max(dst.writeDone, dst.readBusy);
+    if (params.renameBounded()) {
+        const uint64_t slotFree = ctx.minRenameSlot(params.renameDepth);
+        if (slotFree > now) {
+            unblockAt = std::min(idleAt, slotFree);
+            return false;
+        }
+        plan.renamed = true;
+        return true;
+    }
+    if (params.renaming)
+        return true;
+    unblockAt = idleAt;
+    return false;
+}
+
 } // namespace
 
 std::optional<DispatchPlan>
 DispatchUnit::planAny(const Context &ctx, uint64_t now,
-                      BlockReason &why) const
+                      BlockReason &why, uint64_t &unblockAt) const
 {
     MTV_ASSERT(!ctx.window.empty());
-    auto plan = planDispatch(ctx, ctx.window.front(), now, why);
+    auto plan = planDispatch(ctx, ctx.window.front(), now, why, unblockAt);
     if (plan || params_.decoupleDepth == 0)
         return plan;
 
     // Decoupled slip: look for a vector memory instruction behind the
     // blocked head that conflicts with none of the skipped entries.
+    // Until one of them or the head can pass its failing check, the
+    // window stays blocked.
     for (size_t k = 1; k < ctx.window.size(); ++k) {
         const Instruction &cand = ctx.window[k];
         if (!isVector(cand.op) || !isMemory(cand.op))
@@ -105,17 +140,20 @@ DispatchUnit::planAny(const Context &ctx, uint64_t now,
         if (!clear)
             continue;
         BlockReason slipWhy = BlockReason::NoWork;
-        if (auto slipped = planDispatch(ctx, cand, now, slipWhy)) {
+        uint64_t slipAt = 0;
+        if (auto slipped = planDispatch(ctx, cand, now, slipWhy, slipAt)) {
             slipped->windowIndex = k;
             return slipped;
         }
+        unblockAt = std::min(unblockAt, slipAt);
     }
     return std::nullopt;  // `why` keeps the head's block reason
 }
 
 std::optional<DispatchPlan>
 DispatchUnit::planDispatch(const Context &ctx, const Instruction &inst,
-                           uint64_t now, BlockReason &why) const
+                           uint64_t now, BlockReason &why,
+                           uint64_t &unblockAt) const
 {
     const FuClass fu = fuClass(inst.op);
     DispatchPlan plan{};
@@ -125,23 +163,28 @@ DispatchUnit::planDispatch(const Context &ctx, const Instruction &inst,
         for (const uint8_t src : {inst.srcA, inst.srcB}) {
             if (src != noReg && ctx.scalarReady[src] > now) {
                 why = BlockReason::ScalarDep;
+                unblockAt = ctx.scalarReady[src];
                 return std::nullopt;
             }
         }
         if (inst.dst != noReg && ctx.scalarReady[inst.dst] > now) {
             why = BlockReason::ScalarDep;
+            unblockAt = ctx.scalarReady[inst.dst];
             return std::nullopt;
         }
         if (isMemory(inst.op)) {
             plan.port = nullptr;
+            EventMin busFree(now);
             for (MemPort *port : mem_.portsFor(inst.op)) {
                 if (port->bus.freeAt(now)) {
                     plan.port = port;
                     break;
                 }
+                busFree.consider(port->bus.freeCycle());
             }
             if (!plan.port) {
                 why = BlockReason::MemPortBusy;
+                unblockAt = busFree.next;
                 return std::nullopt;
             }
         }
@@ -161,6 +204,7 @@ DispatchUnit::planDispatch(const Context &ctx, const Instruction &inst,
         if (fu == FuClass::VecFu2) {
             if (!pipes_.fu2().freeAt(now)) {
                 why = BlockReason::FuBusy;
+                unblockAt = pipes_.fu2().freeCycle();
                 return std::nullopt;
             }
             plan.unit = DispatchPlan::Unit::Fu2;
@@ -170,6 +214,8 @@ DispatchUnit::planDispatch(const Context &ctx, const Instruction &inst,
             plan.unit = DispatchPlan::Unit::Fu2;
         } else {
             why = BlockReason::FuBusy;
+            unblockAt = std::min(pipes_.fu1().freeCycle(),
+                                 pipes_.fu2().freeCycle());
             return std::nullopt;
         }
 
@@ -182,6 +228,7 @@ DispatchUnit::planDispatch(const Context &ctx, const Instruction &inst,
             if (!reg.completeAt(now)) {
                 if (!reg.chainable) {
                     why = BlockReason::SourceNotReady;
+                    unblockAt = reg.writeDone;
                     return std::nullopt;
                 }
                 chainStart = std::max(chainStart, reg.prodFirst + 1);
@@ -195,27 +242,15 @@ DispatchUnit::planDispatch(const Context &ctx, const Instruction &inst,
 
         const bool isReduce = inst.op == Opcode::VReduce;
         if (!isReduce) {
-            const VRegTiming &dst = ctx.vregs[inst.dst];
-            // Renaming allocates a fresh physical register, so WAW
-            // and WAR hazards vanish (section 10 extension). The
-            // bounded pool hides a hazard only while a spare slot is
-            // free; with none, the stall is charged as DestBusy like
-            // the baseline's.
-            if (!dst.idleAt(now)) {
-                if (params_.renameBounded()) {
-                    if (ctx.minRenameSlot(params_.renameDepth) > now) {
-                        why = BlockReason::DestBusy;
-                        return std::nullopt;
-                    }
-                    plan.renamed = true;
-                } else if (!params_.renaming) {
-                    why = BlockReason::DestBusy;
-                    return std::nullopt;
-                }
+            if (!destReady(params_, ctx, ctx.vregs[inst.dst], now, plan,
+                           unblockAt)) {
+                why = BlockReason::DestBusy;
+                return std::nullopt;
             }
         } else if (inst.dst != noReg &&
                    ctx.scalarReady[inst.dst] > now) {
             why = BlockReason::ScalarDep;
+            unblockAt = ctx.scalarReady[inst.dst];
             return std::nullopt;
         }
 
@@ -223,12 +258,21 @@ DispatchUnit::planDispatch(const Context &ctx, const Instruction &inst,
             for (int b = 0; b < numVRegs / 2; ++b) {
                 if (bankReads[b] > ctx.banks[b].freeReadPorts(now)) {
                     why = BlockReason::BankPortBusy;
+                    // Need both ports => wait for the later one;
+                    // need one (and both busy) => the earlier.
+                    const BankPorts &bank = ctx.banks[b];
+                    unblockAt = bankReads[b] >= 2
+                                    ? std::max(bank.readUntil[0],
+                                               bank.readUntil[1])
+                                    : std::min(bank.readUntil[0],
+                                               bank.readUntil[1]);
                     return std::nullopt;
                 }
             }
             if (!isReduce && !params_.renamingEnabled() &&
                 !ctx.banks[vregBank(inst.dst)].writeFreeAt(now)) {
                 why = BlockReason::BankPortBusy;
+                unblockAt = ctx.banks[vregBank(inst.dst)].writeUntil;
                 return std::nullopt;
             }
         }
@@ -269,24 +313,18 @@ DispatchUnit::planDispatch(const Context &ctx, const Instruction &inst,
         if (!plan.port) {
             why = anyPipeFree ? BlockReason::MemPortBusy
                               : BlockReason::MemPipeBusy;
+            unblockAt = nextPortEvent(mem_.portsFor(inst.op), now);
             return std::nullopt;
         }
-        const VRegTiming &dst = ctx.vregs[inst.dst];
-        if (!dst.idleAt(now)) {
-            if (params_.renameBounded()) {
-                if (ctx.minRenameSlot(params_.renameDepth) > now) {
-                    why = BlockReason::DestBusy;
-                    return std::nullopt;
-                }
-                plan.renamed = true;
-            } else if (!params_.renaming) {
-                why = BlockReason::DestBusy;
-                return std::nullopt;
-            }
+        if (!destReady(params_, ctx, ctx.vregs[inst.dst], now, plan,
+                       unblockAt)) {
+            why = BlockReason::DestBusy;
+            return std::nullopt;
         }
         if (params_.modelBankPorts && !params_.renamingEnabled() &&
             !ctx.banks[vregBank(inst.dst)].writeFreeAt(now)) {
             why = BlockReason::BankPortBusy;
+            unblockAt = ctx.banks[vregBank(inst.dst)].writeUntil;
             return std::nullopt;
         }
         const bool indexed = inst.op == Opcode::VGather;
@@ -321,6 +359,7 @@ DispatchUnit::planDispatch(const Context &ctx, const Instruction &inst,
     if (!plan.port) {
         why = anyPipeFree ? BlockReason::MemPortBusy
                           : BlockReason::MemPipeBusy;
+        unblockAt = nextPortEvent(mem_.portsFor(inst.op), now);
         return std::nullopt;
     }
     const VRegTiming &src = ctx.vregs[inst.srcA];
@@ -328,6 +367,7 @@ DispatchUnit::planDispatch(const Context &ctx, const Instruction &inst,
     if (!src.completeAt(now)) {
         if (!src.chainable) {
             why = BlockReason::SourceNotReady;
+            unblockAt = src.writeDone;
             return std::nullopt;
         }
         chainStart = src.prodFirst + 1;
@@ -335,6 +375,8 @@ DispatchUnit::planDispatch(const Context &ctx, const Instruction &inst,
     if (params_.modelBankPorts &&
         ctx.banks[vregBank(inst.srcA)].freeReadPorts(now) < 1) {
         why = BlockReason::BankPortBusy;
+        const BankPorts &bank = ctx.banks[vregBank(inst.srcA)];
+        unblockAt = std::min(bank.readUntil[0], bank.readUntil[1]);
         return std::nullopt;
     }
     plan.unit = DispatchPlan::Unit::Mem;
@@ -436,97 +478,6 @@ DispatchUnit::commit(Context &ctx, const DispatchPlan &plan,
         ++decoupledSlips_;
     ctx.window.erase(ctx.window.begin() +
                      static_cast<ptrdiff_t>(plan.windowIndex));
-}
-
-void
-DispatchUnit::considerWakeups(const Context &ctx, EventMin &em) const
-{
-    for (size_t k = 0; k < ctx.window.size(); ++k) {
-        const Instruction &inst = ctx.window[k];
-        // Behind the head, planAny() only ever probes vector memory
-        // instructions (decoupled slip); nothing else's resources can
-        // matter before the head dispatches.
-        if (k > 0 && !(isVector(inst.op) && isMemory(inst.op)))
-            continue;
-
-        const FuClass fu = fuClass(inst.op);
-        if (fu == FuClass::Scalar) {
-            for (const uint8_t reg : {inst.srcA, inst.srcB, inst.dst}) {
-                if (reg != noReg)
-                    em.consider(ctx.scalarReady[reg]);
-            }
-            if (isMemory(inst.op)) {
-                for (const MemPort *port : mem_.portsFor(inst.op))
-                    em.consider(port->bus.freeCycle());
-            }
-            continue;
-        }
-
-        if (fu == FuClass::VecAny || fu == FuClass::VecFu2) {
-            em.consider(pipes_.fu2().freeCycle());
-            if (fu == FuClass::VecAny)
-                em.consider(pipes_.fu1().freeCycle());
-            for (const uint8_t src : {inst.srcA, inst.srcB}) {
-                if (src == noReg)
-                    continue;
-                const VRegTiming &reg = ctx.vregs[src];
-                if (!reg.chainable)
-                    em.consider(reg.writeDone);
-                if (params_.modelBankPorts) {
-                    em.consider(
-                        ctx.banks[vregBank(src)].nextEventAfter(em.now));
-                }
-            }
-            if (inst.op == Opcode::VReduce) {
-                if (inst.dst != noReg)
-                    em.consider(ctx.scalarReady[inst.dst]);
-            } else if (params_.renameBounded()) {
-                // The blocked predicate is "dst idle OR slot free";
-                // both arms are stored-time comparisons.
-                const VRegTiming &dst = ctx.vregs[inst.dst];
-                em.consider(dst.writeDone);
-                em.consider(dst.readBusy);
-                em.consider(ctx.minRenameSlot(params_.renameDepth));
-            } else if (!params_.renaming) {
-                const VRegTiming &dst = ctx.vregs[inst.dst];
-                em.consider(dst.writeDone);
-                em.consider(dst.readBusy);
-                if (params_.modelBankPorts) {
-                    em.consider(
-                        ctx.banks[vregBank(inst.dst)].writeUntil);
-                }
-            }
-            continue;
-        }
-
-        for (const MemPort *port : mem_.portsFor(inst.op))
-            em.consider(port->nextEventAfter(em.now));
-        if (fu == FuClass::VecLoad) {
-            if (params_.renameBounded()) {
-                const VRegTiming &dst = ctx.vregs[inst.dst];
-                em.consider(dst.writeDone);
-                em.consider(dst.readBusy);
-                em.consider(ctx.minRenameSlot(params_.renameDepth));
-            } else if (!params_.renaming) {
-                const VRegTiming &dst = ctx.vregs[inst.dst];
-                em.consider(dst.writeDone);
-                em.consider(dst.readBusy);
-                if (params_.modelBankPorts) {
-                    em.consider(
-                        ctx.banks[vregBank(inst.dst)].writeUntil);
-                }
-            }
-        } else {
-            const VRegTiming &src = ctx.vregs[inst.srcA];
-            if (!src.chainable)
-                em.consider(src.writeDone);
-            if (params_.modelBankPorts) {
-                em.consider(
-                    ctx.banks[vregBank(inst.srcA)].nextEventAfter(
-                        em.now));
-            }
-        }
-    }
 }
 
 void

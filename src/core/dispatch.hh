@@ -7,12 +7,13 @@
  * Planning (planAny/planDispatch) is pure: it computes a validated
  * DispatchPlan from context state, the pipelines and the memory
  * system without modifying anything, reporting the *first failing
- * resource* as a BlockReason otherwise. Commit applies a plan:
- * reserves units/ports/registers and updates the dispatch counters.
- * Every predicate planning evaluates is a comparison of a stored
- * ready-time against `now`, which is what makes the event-driven
- * kernel sound: while no ready-time expires, a blocked plan stays
- * blocked for the same reason.
+ * resource* as a BlockReason otherwise, together with that check's
+ * threshold: the first cycle at which it can pass. Commit applies a
+ * plan: reserves units/ports/registers and updates the dispatch
+ * counters. Every predicate planning evaluates is a comparison of a
+ * stored ready-time against `now`, monotone until the next commit,
+ * which is what makes the event-driven kernels sound: a blocked plan
+ * stays blocked for the same reason until its threshold.
  */
 
 #ifndef MTV_CORE_DISPATCH_HH
@@ -61,34 +62,27 @@ class DispatchUnit
      * Find a dispatchable instruction in the window: the head, or —
      * when decoupling is on — a vector memory instruction that
      * conflicts with none of the skipped entries. On failure @p why
-     * holds the head's block reason.
+     * holds the head's block reason and @p unblockAt the earliest
+     * threshold of the failed plans (the head's and every clear slip
+     * candidate's): nothing about this window changes before it.
      */
     std::optional<DispatchPlan> planAny(const Context &ctx,
-                                        uint64_t now,
-                                        BlockReason &why) const;
+                                        uint64_t now, BlockReason &why,
+                                        uint64_t &unblockAt) const;
 
-    /** Pure dispatch feasibility check + timing computation. */
+    /**
+     * Pure dispatch feasibility check + timing computation. On
+     * failure @p why names the first failing check and @p unblockAt
+     * the first cycle at which that check can pass.
+     */
     std::optional<DispatchPlan> planDispatch(const Context &ctx,
                                              const Instruction &inst,
                                              uint64_t now,
-                                             BlockReason &why) const;
+                                             BlockReason &why,
+                                             uint64_t &unblockAt) const;
 
     /** Commit @p plan: reserve resources, update scoreboards, stats. */
     void commit(Context &ctx, const DispatchPlan &plan, uint64_t now);
-
-    /**
-     * Feed every ready-time that planAny() could compare against
-     * `now` for this context into @p em: the resources referenced by
-     * the window head and by every decoupled-slip candidate (unit
-     * and port free-cycles, source/destination register horizons,
-     * bank ports, scalar scoreboard entries). This is the event
-     * kernel's wakeup set — a superset of the times the reachable
-     * checks examine, so no block reason or feasibility flip can
-     * precede the earliest of them (waking early is harmless; waking
-     * late would break bit-identity). Kept next to planDispatch() so
-     * the two stay in sync check for check.
-     */
-    void considerWakeups(const Context &ctx, EventMin &em) const;
 
     /** Reset the dispatch counters. */
     void clear();

@@ -3,9 +3,7 @@
  * PipelineSet: the machine's two vector arithmetic pipelines plus the
  * joint busy-state accounting of the paper's (FU2, FU1, LD) tuple.
  *
- * Like the memory ports, the pipes report the cycle they next change
- * state (nextEventAfter) so the event-driven kernel never polls them,
- * and the joint-state histogram can be either sampled one cycle at a
+ * The joint-state histogram can be either sampled one cycle at a
  * time (the stepped kernel) or integrated over a whole idle span
  * (the event kernel) with bit-identical results.
  */

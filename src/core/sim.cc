@@ -40,6 +40,7 @@ VectorSim::VectorSim(const MachineParams &params, SimKernel kernel)
     contexts_.resize(params_.contexts);
     lastSelected_.resize(params_.contexts, 0);
     scanWhy_.resize(params_.contexts, BlockReason::NoWork);
+    unblockAt_.resize(params_.contexts, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -142,12 +143,12 @@ VectorSim::resetMachine(RunMode mode)
     mem_.clear();
     pipes_.clear();
     dispatch_.clear();
-    scheduler_.clear();
     for (auto &ctx : contexts_)
         ctx = Context{};
     currentThread_ = 0;
     std::fill(lastSelected_.begin(), lastSelected_.end(), 0);
     std::fill(scanWhy_.begin(), scanWhy_.end(), BlockReason::NoWork);
+    std::fill(unblockAt_.begin(), unblockAt_.end(), 0);
     jobs_.clear();
     nextJob_ = 0;
     maxInstructions_ = 0;
@@ -211,12 +212,12 @@ VectorSim::runStepped()
 /**
  * The event-driven kernel. While anything can dispatch it runs the
  * exact per-cycle code of the stepped kernel; once every context is
- * blocked it asks the scheduler for the earliest pending ready-time
- * and jumps there, bulk-accounting the skipped span. Soundness: all
- * wakeups are computed from state that is immutable while blocked
- * (only a commit writes ready-times), so no decode outcome — and no
- * per-cycle statistic — can differ from stepping (see the proof
- * sketch in DESIGN.md section 1.2).
+ * blocked it jumps to the first cycle any context can change
+ * (wakeAfter()), bulk-accounting the skipped span. Soundness: every
+ * dispatch predicate is monotone until the next commit, and nothing
+ * commits while blocked, so no decode outcome — and no per-cycle
+ * statistic — can differ from stepping (see the proof sketch in
+ * DESIGN.md section 1.2).
  */
 SimStats
 VectorSim::runEvent()
@@ -244,8 +245,7 @@ VectorSim::runEvent()
         // straight to the watchdog.
         const uint64_t watchdogAt =
             lastDispatchCycle_ + stallLimit_ + 1;
-        uint64_t wake =
-            scheduler_.nextWakeup(now, dispatch_, contexts_);
+        uint64_t wake = wakeAfter(now);
         if (wake == 0 || wake > watchdogAt)
             wake = watchdogAt;
         accountIdleSpan(now, wake);
@@ -254,6 +254,22 @@ VectorSim::runEvent()
         checkWatchdog(now);
     }
     return takeStats(now);
+}
+
+uint64_t
+VectorSim::wakeAfter(uint64_t now) const
+{
+    EventMin em(now);
+    for (int c = 0; c < params_.contexts; ++c) {
+        const Context &ctx = contexts_[c];
+        if (!ctx.window.empty()) {
+            em.consider(unblockAt_[c]);
+        } else {
+            em.consider(ctx.fetchReadyAt);
+            em.consider(ctx.stats.lastCompletion);
+        }
+    }
+    return em.next;
 }
 
 bool
@@ -270,7 +286,8 @@ VectorSim::decodeSingleSlot(uint64_t now)
     BlockReason heldWhy = BlockReason::NoWork;
     bool dispatched = false;
     if (ensureWindow(held, now, heldWhy)) {
-        if (auto plan = dispatch_.planAny(held, now, heldWhy)) {
+        if (auto plan = dispatch_.planAny(held, now, heldWhy,
+                                          unblockAt_[currentThread_])) {
             dispatch_.commit(held, *plan, now);
             lastDispatchCycle_ = now;
             dispatched = true;
@@ -313,7 +330,7 @@ VectorSim::decodeMultiSlot(uint64_t now)
             scanWhy_[c] = why;
             continue;
         }
-        auto plan = dispatch_.planAny(ctx, now, why);
+        auto plan = dispatch_.planAny(ctx, now, why, unblockAt_[c]);
         if (!plan) {
             ctx.stats.blocked[static_cast<size_t>(why)]++;
             scanWhy_[c] = why;
@@ -349,7 +366,7 @@ VectorSim::scanContexts(uint64_t now)
         Context &ctx = contexts_[c];
         BlockReason why = BlockReason::NoWork;
         if (ensureWindow(ctx, now, why) &&
-            dispatch_.planAny(ctx, now, why)) {
+            dispatch_.planAny(ctx, now, why, unblockAt_[c])) {
             why = BlockReason::None;
         }
         scanWhy_[c] = why;
@@ -468,7 +485,8 @@ VectorSim::throwWedged(uint64_t now)
         Context &held = contexts_[currentThread_];
         BlockReason why = BlockReason::NoWork;
         if (ensureWindow(held, now, why) &&
-            dispatch_.planAny(held, now, why)) {
+            dispatch_.planAny(held, now, why,
+                              unblockAt_[currentThread_])) {
             why = BlockReason::None;
         }
         scanWhy_[currentThread_] = why;

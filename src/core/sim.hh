@@ -19,18 +19,19 @@
  *
  * The machine is decomposed into components (DESIGN.md section 1):
  * MemSystem (ports + main memory), PipelineSet (the two arithmetic
- * pipes + joint-state accounting), DispatchUnit (pure planning +
- * commit) and Scheduler (next-event extraction). VectorSim owns the
- * run machinery — fetch, thread selection, termination — and drives
- * the components through one of two kernels:
+ * pipes + joint-state accounting) and DispatchUnit (pure planning,
+ * which reports the threshold of the check a plan failed, + commit).
+ * VectorSim owns the run machinery — fetch, thread selection,
+ * termination — and drives the components through one of two
+ * kernels:
  *
  *  - SimKernel::Stepped evaluates decode every cycle (the historical
  *    loop, kept as the executable specification);
  *  - SimKernel::Event (the constructor's default) runs the same
  *    per-cycle code while anything can dispatch, but when every
  *    context is blocked it jumps `now` straight to the earliest
- *    pending ready-time and integrates the per-cycle accounting over
- *    the skipped span.
+ *    threshold of the checks the contexts failed (wakeAfter()) and
+ *    integrates the per-cycle accounting over the skipped span.
  *
  * Both kernels produce bit-identical SimStats (guarded by
  * tests/test_golden.cc and the CI kernel-parity job); the event
@@ -59,7 +60,6 @@
 #include "src/core/dispatch.hh"
 #include "src/core/metrics.hh"
 #include "src/core/pipelines.hh"
-#include "src/core/scheduler.hh"
 #include "src/isa/machine_params.hh"
 #include "src/memsys/mem_system.hh"
 #include "src/trace/source.hh"
@@ -175,6 +175,14 @@ class VectorSim
     void scanContexts(uint64_t now);
 
     /**
+     * The wake target of a fully blocked machine: the first cycle
+     * after @p now at which any context can change — a headed
+     * context's failed-plan threshold, a headless one's fetch gate or
+     * completion (termination) — or 0 when nothing is pending.
+     */
+    uint64_t wakeAfter(uint64_t now) const;
+
+    /**
      * Bulk-account the fully-blocked cycles (from, to) — the decode
      * side of each skipped cycle, using the scanWhy_ reasons frozen
      * over the span — plus the joint-state histogram over [from, to).
@@ -229,13 +237,14 @@ class VectorSim
     MemSystem mem_;
     PipelineSet pipes_;
     DispatchUnit dispatch_;
-    Scheduler scheduler_;
 
     // --- shared machine state ---
     std::vector<Context> contexts_;
     int currentThread_ = 0;
     std::vector<uint64_t> lastSelected_;  ///< per context, for FairLru
     std::vector<BlockReason> scanWhy_;    ///< per context, per cycle
+    /** Per context: threshold of its last failed plan (planAny). */
+    std::vector<uint64_t> unblockAt_;
 
     // --- run bookkeeping ---
     RunMode mode_ = RunMode::UntilThreadZero;

@@ -4,11 +4,11 @@
  * address/data ports (each a pipelined data path plus an address bus)
  * and the main-memory timing oracle behind them.
  *
- * Ports are *reporting* resources, not polled ones: besides the
- * point-in-time freeAt()/busyAt() queries the dispatch logic uses,
- * every port exposes the cycle at which it next changes state
- * (nextEventAfter), which is what lets the event-driven kernel jump
- * over idle spans instead of re-asking "free yet?" every cycle.
+ * Besides the point-in-time freeAt()/busyAt() queries the dispatch
+ * logic uses, every port exposes the cycle at which it next changes
+ * state (nextEventAfter): the threshold of a failed memory-port
+ * check, which is what lets the event-driven kernels jump over idle
+ * spans instead of re-asking "free yet?" every cycle.
  */
 
 #ifndef MTV_MEMSYS_MEM_SYSTEM_HH
@@ -45,6 +45,21 @@ struct MemPort
         return em.next;
     }
 };
+
+/**
+ * Threshold of a failed memory-port check: the first pipe or bus
+ * state change on @p ports after @p now (0: none pending). The
+ * pipe/port block reason can flip at any of them, so the check is
+ * replanned there rather than at the final dispatch time.
+ */
+inline uint64_t
+nextPortEvent(const std::vector<MemPort *> &ports, uint64_t now)
+{
+    EventMin em(now);
+    for (const MemPort *port : ports)
+        em.consider(port->nextEventAfter(now));
+    return em.next;
+}
 
 /**
  * The machine's memory ports plus the main-memory timing model.

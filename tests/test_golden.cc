@@ -16,17 +16,31 @@
  * run with MTV_GOLDEN_PRINT=1 and paste the printed table:
  *
  *   MTV_GOLDEN_PRINT=1 ./test_golden --gtest_filter='*Pinned*'
+ *
+ * Beyond the pins, a differential test re-simulates every distinct
+ * simulation of a figure pass under all three kernels:
+ *
+ *   ./test_golden --gtest_filter='*FigurePass*'
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/api/backend.hh"
+#include "src/api/engine.hh"
 #include "src/api/run_spec.hh"
+#include "src/api/sweep.hh"
 #include "src/core/sim.hh"
 #include "src/store/stats_codec.hh"
 #include "src/workload/program.hh"
@@ -340,6 +354,110 @@ TEST(Golden, SerializationIsCanonical)
     EXPECT_EQ(serializeSimStats(a), serializeSimStats(b));
     const SimStats back = deserializeSimStats(serializeSimStats(a));
     EXPECT_EQ(serializeSimStats(back), serializeSimStats(a));
+}
+
+/**
+ * A backend that remembers only which keys the engine stored: every
+ * distinct simulation of a run, truncated F_i references included
+ * (the memory cache skips those, the backend does not).
+ */
+class RecordingBackend : public ResultBackend
+{
+  public:
+    std::shared_ptr<const SimStats>
+    load(const std::string &) override
+    {
+        return nullptr;
+    }
+
+    void
+    store(const std::string &key, const SimStats &) override
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        keys_.insert(key);
+    }
+
+    size_t
+    size() const override
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return keys_.size();
+    }
+
+    std::vector<std::string>
+    keys() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return {keys_.begin(), keys_.end()};
+    }
+
+  private:
+    mutable std::mutex mutex_;
+    std::set<std::string> keys_;
+};
+
+/**
+ * The kernel differential over a whole figure pass: the six families
+ * the end-to-end benchmark replays, expanded and run through an
+ * engine at a small scale, and every simulation that pass made
+ * re-simulated under each kernel. Event and Batched must reproduce
+ * Stepped's stats blob byte for byte; the first key that differs is
+ * named. Covers what the pins cannot: every machine shape, grouping
+ * and truncation point a figure pass reaches.
+ */
+TEST(Golden, FigurePassKernelDifferential)
+{
+    auto recorder = std::make_shared<RecordingBackend>();
+    {
+        EngineOptions options;
+        options.backend = recorder;
+        ExperimentEngine engine(options);
+        for (const char *family :
+             {"suite-grouping", "latency", "ext-multiport", "ext-renaming",
+              "ext-decoupled", "ext-compare"}) {
+            SweepRequest request;
+            request.family = family;
+            request.scale = 1e-5;
+            engine.runAll(expandSweep(request).take());
+        }
+    }
+    const std::vector<std::string> keys = recorder->keys();
+    ASSERT_EQ(keys.size(), 779u);
+
+    // mismatch[i]: what went wrong on keys[i] (empty: nothing).
+    std::vector<std::string> mismatch(keys.size());
+    std::atomic<size_t> next{0};
+    const auto work = [&] {
+        for (size_t i = next++; i < keys.size(); i = next++) {
+            const RunSpec spec = RunSpec::parse(keys[i]);
+            SimKernel kernel = SimKernel::Stepped;
+            try {
+                const std::string stepped =
+                    serializeSimStats(simulate(spec, kernel));
+                for (const SimKernel other :
+                     {SimKernel::Event, SimKernel::Batched}) {
+                    kernel = other;
+                    if (serializeSimStats(simulate(spec, kernel)) !=
+                        stepped) {
+                        mismatch[i] = std::string(simKernelName(kernel)) +
+                                      " differs from stepped";
+                        break;
+                    }
+                }
+            } catch (const std::exception &e) {
+                mismatch[i] =
+                    std::string(simKernelName(kernel)) + " threw: " + e.what();
+            }
+        }
+    };
+    std::vector<std::thread> pool(
+        std::max(1u, std::thread::hardware_concurrency()));
+    for (auto &thread : pool)
+        thread = std::thread(work);
+    for (auto &thread : pool)
+        thread.join();
+    for (size_t i = 0; i < keys.size(); ++i)
+        ASSERT_EQ(mismatch[i], "") << "on " << keys[i];
 }
 
 } // namespace

@@ -129,24 +129,8 @@ TEST(Metrics, SimErrorCarriesBlockedContexts)
     EXPECT_NE(what.find("2000"), std::string::npos);
 }
 
-TEST(Resources, ReportedNextEvents)
+TEST(Resources, EventMinKeepsEarliestPendingTime)
 {
-    VRegTiming reg;
-    reg.writeDone = 40;
-    reg.readBusy = 25;
-    EXPECT_EQ(reg.nextEventAfter(10), 25u);
-    EXPECT_EQ(reg.nextEventAfter(25), 40u);
-    EXPECT_EQ(reg.nextEventAfter(40), 0u);
-
-    BankPorts bank;
-    bank.readUntil[0] = 8;
-    bank.readUntil[1] = 12;
-    bank.writeUntil = 10;
-    EXPECT_EQ(bank.nextEventAfter(0), 8u);
-    EXPECT_EQ(bank.nextEventAfter(8), 10u);
-    EXPECT_EQ(bank.nextEventAfter(11), 12u);
-    EXPECT_EQ(bank.nextEventAfter(12), 0u);
-
     EventMin em(10);
     em.consider(9);   // not pending
     em.consider(10);  // not strictly after
