@@ -22,8 +22,7 @@ class OrderedEmitter
 {
   public:
     OrderedEmitter(Connection &connection, uint64_t id, bool quiet)
-        : connection_(connection), id_(id), quiet_(quiet),
-          binary_(connection.wire() == WireFormat::Binary)
+        : connection_(connection), id_(id), quiet_(quiet)
     {
     }
 
@@ -48,21 +47,14 @@ class OrderedEmitter
             const size_t seq = nextEmit_++;
             if (connection_.writeFailed())
                 continue;
-            if (binary_) {
-                // Re-framed, not re-encoded: the blob bytes a node
-                // streamed pass through verbatim — only the frame
-                // envelope (id, global seq) is rebuilt, so the
-                // client folds the identical digest.
-                std::string frame;
-                appendResultFrame(&frame, results_[seq], id_, seq,
-                                  quiet_ ? nullptr : &blobs_[seq]);
-                connection_.writeFrameBytes(frame);
-            } else {
-                const Json line = resultToJson(
-                    results_[seq], id_, seq,
-                    /*includeBlob=*/!quiet_, &blobs_[seq]);
-                connection_.write(line.dump());
-            }
+            // Re-framed, not re-encoded: the blob bytes a node
+            // streamed pass through verbatim — only the frame
+            // envelope (id, global seq) is rebuilt, so the client
+            // folds the identical digest.
+            std::string frame;
+            appendResultFrame(&frame, results_[seq], id_, seq,
+                              quiet_ ? nullptr : &blobs_[seq]);
+            connection_.writeFrameBytes(frame);
             // Emitted points are not needed again (the router holds
             // its own copies for the final fold).
             results_[seq] = RunResult();
@@ -99,7 +91,6 @@ class OrderedEmitter
     Connection &connection_;
     uint64_t id_;
     bool quiet_;
-    bool binary_;
     std::vector<char> ready_;
     std::vector<RunResult> results_;
     std::vector<std::string> blobs_;

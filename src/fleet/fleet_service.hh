@@ -6,7 +6,7 @@
  * "shutdown", client errors) with an op table that scatters requests
  * across the nodes through a FleetRouter. A client sees one ordinary
  * daemon whose sweep stream is the folded, in-order merge of N nodes:
- * same ack, same per-point lines, same done-line digest (bit-identical
+ * same ack, same per-point frames, same done-line digest (bit-identical
  * to a single node or `mtvctl sweep --local`), with mid-sweep node
  * deaths absorbed by the router's reroute path.
  *

@@ -266,34 +266,6 @@ FleetRouter::streamSubset(size_t nodeIndex,
     // simulating for nobody.
     LineChannel channel(fd);
 
-    // Negotiate the binary result wire (protocol v6): frames carry
-    // the canonical stats blob verbatim, so the router folds its
-    // digest and forwards bytes without a JSON round-trip. A node
-    // that refuses (or an old daemon answering "unknown op") simply
-    // leaves this stream on JSON lines — mixed fleets fold the same
-    // blob bytes either way, so the digest is unaffected.
-    {
-        Json hello = Json::object();
-        hello.set("op", "hello");
-        hello.set("wire", "binary");
-        std::string line;
-        if (!channel.writeLine(hello.dump()) ||
-            !channel.readLine(&line)) {
-            markDead(nodeIndex, "connection lost during hello");
-            return;
-        }
-        Json response;
-        std::string parseError;
-        if (!Json::parse(line, &response, &parseError)) {
-            markDead(nodeIndex,
-                     "malformed hello response: " + parseError);
-            return;
-        }
-        // The answer only matters as "did binary get negotiated";
-        // an error answer is the JSON fallback, not a failure.
-        (void)response;
-    }
-
     constexpr uint64_t id = 1;
     Json request;
     if (sweep) {
@@ -320,16 +292,18 @@ FleetRouter::streamSubset(size_t nodeIndex,
         return;
     }
 
-    // Consume the subset stream. ANY malformed line is treated as a
-    // node failure — the scatter loop reroutes, a bad node must not
+    // Consume the subset stream: result frames between the ack and
+    // the done line. ANY malformed message — including a line that
+    // is not the ack, the done line or an error — is treated as a
+    // node failure: the scatter loop reroutes, a bad node must not
     // take the router down.
     uint64_t subsetDigest = 0xcbf29ce484222325ull;
     size_t received = 0;
     bool sawAck = sweep == nullptr;  // the run op has no ack line
     for (;;) {
-        std::string line;
+        std::string message;
         const LineChannel::MessageKind kind =
-            channel.readMessage(&line);
+            channel.readMessage(&message);
         if (kind == LineChannel::MessageKind::Eof) {
             markDead(nodeIndex,
                      format("connection closed after %zu of %zu "
@@ -344,17 +318,17 @@ FleetRouter::streamSubset(size_t nodeIndex,
                             received, indices.size()));
             return;
         }
-        if (kind == LineChannel::MessageKind::Frame) {
-            // A binary result point. The spec check and the digest
-            // fold work on the frame's raw strings — no JSON object,
-            // no stats decode on the integrity path; only the result
-            // landed in the gather table is decoded (the caller's
-            // hook and compare folds want a RunResult).
-            try {
-                ScopedFatalAsException scope;
+        try {
+            ScopedFatalAsException scope;
+            if (kind == LineChannel::MessageKind::Frame) {
+                // The spec check and the digest fold work on the
+                // frame's raw strings — no stats decode on the
+                // integrity path; only the result landed in the
+                // gather table is decoded (the caller's hook and
+                // compare folds want a RunResult).
                 ResultFrame frame;
                 std::string frameError;
-                if (!decodeResultFrame(line, &frame, &frameError))
+                if (!decodeResultFrame(message, &frame, &frameError))
                     fatal("bad result frame: %s", frameError.c_str());
                 if (frame.id != id) {
                     fatal("frame for unknown request id %llu",
@@ -395,30 +369,16 @@ FleetRouter::streamSubset(size_t nodeIndex,
                         }
                     }
                 }
-                {
-                    std::lock_guard<std::mutex> lock(
-                        membershipMutex_);
-                    ++nodes_[nodeIndex].pointsServed;
-                }
-            } catch (const FatalError &e) {
-                markDead(nodeIndex, e.what());
-                return;
+                std::lock_guard<std::mutex> lock(membershipMutex_);
+                ++nodes_[nodeIndex].pointsServed;
+                continue;
             }
-            continue;
-        }
-        Json msg;
-        std::string parseError;
-        if (!Json::parse(line, &msg, &parseError)) {
-            markDead(nodeIndex, "malformed response: " + parseError);
-            return;
-        }
-        if (msg.has("error")) {
-            markDead(nodeIndex,
-                     "node error: " + msg.getString("error"));
-            return;
-        }
-        try {
-            ScopedFatalAsException scope;
+            Json msg;
+            std::string parseError;
+            if (!Json::parse(message, &msg, &parseError))
+                fatal("malformed response: %s", parseError.c_str());
+            if (msg.has("error"))
+                fatal("node error: %s", msg.getString("error").c_str());
             if (msg.get("id").asU64() != id) {
                 fatal("response for unknown request id %llu",
                       static_cast<unsigned long long>(
@@ -432,57 +392,25 @@ FleetRouter::streamSubset(size_t nodeIndex,
                 sawAck = true;
                 continue;
             }
-            if (msg.getBool("done", false)) {
-                if (msg.getBool("cancelled", false) ||
-                    received != indices.size()) {
-                    fatal("stream ended after %zu of %zu points",
-                          received, indices.size());
-                }
-                // Integrity cross-check: the node folded the same
-                // digest over the bytes it sent; a mismatch means
-                // the subset we received is not what it computed.
-                const std::string server = msg.getString("digest");
-                const std::string local = format(
-                    "%016llx", static_cast<unsigned long long>(
-                                   subsetDigest));
-                if (server != local) {
-                    fatal("node digest %s != router fold %s",
-                          server.c_str(), local.c_str());
-                }
-                return;  // subset complete
+            if (!msg.getBool("done", false))
+                fatal("unexpected line: %s", msg.dump().c_str());
+            if (msg.getBool("cancelled", false) ||
+                received != indices.size()) {
+                fatal("stream ended after %zu of %zu points",
+                      received, indices.size());
             }
-            const size_t seq = msg.get("seq").asU64();
-            if (seq != received || seq >= indices.size()) {
-                fatal("result stream out of order (seq %zu, "
-                      "expected %zu)",
-                      seq, received);
+            // Integrity cross-check: the node folded the same digest
+            // over the bytes it sent; a mismatch means the subset we
+            // received is not what it computed.
+            const std::string server = msg.getString("digest");
+            const std::string local = format(
+                "%016llx",
+                static_cast<unsigned long long>(subsetDigest));
+            if (server != local) {
+                fatal("node digest %s != router fold %s",
+                      server.c_str(), local.c_str());
             }
-            std::string blob;
-            RunResult result = resultFromJson(msg, &blob);
-            if (blob.empty())
-                fatal("node streamed a result without a blob");
-            if (result.spec != (*gather.specs)[indices[seq]]) {
-                fatal("node answered the wrong spec for point %zu",
-                      indices[seq]);
-            }
-            subsetDigest = fnv1a64(blob.data(), blob.size(),
-                                   subsetDigest);
-            const size_t global = indices[seq];
-            ++received;
-            {
-                std::lock_guard<std::mutex> lock(gather.mutex);
-                if (!gather.done[global]) {
-                    gather.done[global] = 1;
-                    gather.results[global] = result;
-                    gather.blobs[global] = blob;
-                    if (*gather.hook)
-                        (*gather.hook)(global, result, blob);
-                }
-            }
-            {
-                std::lock_guard<std::mutex> lock(membershipMutex_);
-                ++nodes_[nodeIndex].pointsServed;
-            }
+            return;  // subset complete
         } catch (const FatalError &e) {
             markDead(nodeIndex, e.what());
             return;

@@ -74,7 +74,7 @@ struct FleetNodeStatus
     bool alive = true;
     /** Last connect/protocol failure (empty while healthy). */
     std::string lastError;
-    /** Result lines this node streamed to us. */
+    /** Result points this node streamed to us. */
     uint64_t pointsServed = 0;
 };
 

@@ -294,20 +294,17 @@ FrontEnd::dispatch(const std::string &line, Connection &connection,
         Request request{body, body.getString("op"),
                         safeRequestId(body), monotonicMicros(), {}};
         if (request.op == "hello") {
-            // Wire negotiation (protocol v6): the client asks for a
-            // result-point encoding; everything else on the stream
-            // stays JSON lines. An unknown value answers an error and
-            // leaves the connection on JSON.
-            const std::string wanted = body.getString("wire", "json");
-            if (wanted != "json" && wanted != "binary") {
+            // Result points stream as frames on every connection; a
+            // v6-style hello only confirms that (or errors for any
+            // other encoding, "json" included).
+            const std::string wanted = body.getString("wire", "binary");
+            if (wanted != "binary") {
                 return connection.write(
-                    errorJson("unknown wire format '" + wanted +
-                              "' (expected json or binary)")
+                    errorJson("unsupported wire format '" + wanted +
+                              "' (result points stream as binary "
+                              "frames only)")
                         .dump());
             }
-            connection.wire_.store(wanted == "binary"
-                                       ? WireFormat::Binary
-                                       : WireFormat::Json);
             Json ok = Json::object();
             ok.set("ok", true);
             ok.set("hello", true);

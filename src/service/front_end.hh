@@ -3,7 +3,7 @@
  * FrontEnd: everything an mtvd daemon does before a request reaches
  * its engine (MtvService, src/service/server.hh) or its fleet router
  * (FleetService, src/fleet/fleet_service.hh). Both daemons run it, so
- * they answer framing, negotiation and client errors identically;
+ * they answer framing and client errors identically;
  * only the op table behind it (a Session per connection) differs.
  *
  * Listening: a unix socket (a connectable one means another live
@@ -79,8 +79,8 @@ class Session;
 
 /**
  * One client connection: the line channel behind a write funnel
- * (response lines and frames may come from several threads), the
- * negotiated result-point wire, and a sticky failure flag.
+ * (response lines and frames may come from several threads) and a
+ * sticky failure flag.
  */
 class Connection
 {
@@ -101,9 +101,6 @@ class Connection
     /** A write found the peer gone (sticky). */
     bool writeFailed() const { return writeFailed_.load(); }
 
-    /** Result-point wire format, set by the "hello" op. */
-    WireFormat wire() const { return wire_.load(); }
-
   private:
     friend class FrontEnd;
 
@@ -116,7 +113,6 @@ class Connection
     std::atomic<bool> writeFailed_{false};
     /** channel_.bytesWritten() already counted (under writeMutex_). */
     uint64_t lastBytesSent_ = 0;
-    std::atomic<WireFormat> wire_{WireFormat::Json};
     /** Told when a write finds the peer gone; set before the first
      *  request, and the session outlives every write made for it. */
     Session *session_ = nullptr;

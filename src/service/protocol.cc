@@ -239,30 +239,6 @@ resultToJson(const RunResult &result, uint64_t id, size_t seq,
     return line;
 }
 
-RunResult
-resultFromJson(const Json &line, std::string *blob)
-{
-    RunResult result;
-    result.specCanonical = line.getString("spec");
-    result.spec = RunSpec::parse(result.specCanonical);
-    result.cached = line.getBool("cached");
-    result.fromStore = line.getBool("store");
-    result.stats.cycles = line.get("cycles").asU64();
-    result.stats.dispatches = line.get("dispatches").asU64();
-    result.speedup = line.getNumber("speedup");
-    result.mthOccupation = line.getNumber("mthOccupation");
-    result.refOccupation = line.getNumber("refOccupation");
-    result.mthVopc = line.getNumber("mthVopc");
-    result.refVopc = line.getNumber("refVopc");
-    if (line.has("blob")) {
-        const std::string bytes = hexDecode(line.getString("blob"));
-        result.stats = deserializeSimStats(bytes);
-        if (blob)
-            *blob = bytes;
-    }
-    return result;
-}
-
 std::string
 encodeResultFrame(const ResultFrame &frame)
 {

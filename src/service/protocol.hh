@@ -1,10 +1,12 @@
 /**
  * @file
- * The mtvd wire protocol: newline-delimited JSON objects over a
- * stream socket. Since v2 the protocol is *multiplexed and
- * streaming*: a client tags each batch request with an `id`, may keep
- * several requests in flight on one connection, and receives each
- * point's result as a separate id-tagged line as it completes.
+ * The mtvd wire protocol over a stream socket: requests and control
+ * messages are newline-delimited JSON objects, and every streamed
+ * result point is a binary ResultFrame (see below). Since v2 the
+ * protocol is *multiplexed and streaming*: a client tags each batch
+ * request with an `id`, may keep several requests in flight on one
+ * connection, and receives each point's result as a separate
+ * id-tagged frame as it completes.
  *
  * Requests (client -> server):
  *   {"op":"ping"}
@@ -21,7 +23,7 @@
  *     the fleet scatter path (src/fleet/): a router expands the
  *     family once, consistent-hashes each point's canonical spec
  *     across nodes, and sends every node only the indices it owns.
- *     Result lines then stream the subset in the given order (seq
+ *     Result frames then stream the subset in the given order (seq
  *     numbers the subset; the ack echoes the full expansion size as
  *     "total"), so the router can map seq back to global index and
  *     fold one fleet-wide digest in global submission order.
@@ -59,36 +61,28 @@
  *     — cancel every in-flight batch tagged with request id n, on
  *     ANY connection (cancellation is cooperative: queued points are
  *     skipped, points already simulating finish and stay cached).
- *   {"op":"hello","wire":"json"|"binary"}
- *     — v6: per-connection content negotiation. The answer
- *     {"ok":true,"hello":true,"wire":w,"protocol":6} confirms the
- *     wire format this connection's streamed RESULT POINTS will use
- *     from then on. "binary" switches result lines to length-
- *     prefixed canonical SimStats frames (see ResultFrame below);
- *     every control message (requests, acks, done lines, errors,
- *     compare answers) stays a JSON line in either mode. A client
- *     that never sends hello gets pure v5-style JSON — old clients
- *     keep working unchanged. An unknown "wire" value answers an
- *     error and leaves the connection on JSON.
+ *   {"op":"hello","wire":"binary"}
+ *     — kept for clients written against v6, which negotiated the
+ *     result wire per connection. Since v7 frames are the only
+ *     result encoding, so no client needs to send it. A hello whose
+ *     "wire" is absent or "binary" answers
+ *     {"ok":true,"hello":true,"wire":"binary","protocol":7}; any
+ *     other value ("json" included) answers an error.
  *   {"op":"clear"}
  *   {"op":"shutdown"}
  *
- * Responses (server -> client). Lines for *different* request ids
- * interleave arbitrarily; lines for one id arrive in submission
+ * Responses (server -> client). Messages for *different* request ids
+ * interleave arbitrarily; messages for one id arrive in submission
  * order, numbered by "seq":
  *   sweep ack (first line of a sweep response — the expansion's
  *     shape, so the client can track progress and map results back
  *     to figure bars):
  *       {"id":n,"ack":true,"count":c,
  *        "slices":[{"label":s,"contexts":k,"first":i,"count":m},...]}
- *   run / sweep result, one line per spec as results finish:
- *       {"id":n,"seq":i,"spec":"...","cached":b,"store":b,
- *        "cycles":x,"dispatches":x,"speedup":x,...,"blob":"<hex>"}
- *     ("blob" is the full hex-encoded serializeSimStats() record and
- *     is omitted for quiet requests). On a connection negotiated to
- *     wire=binary the same points arrive as ResultFrame frames
- *     instead — raw canonical blob bytes, no hex, no JSON — and the
- *     two encodings fold to bit-identical digests. Then a terminator
+ *   run / sweep result, one ResultFrame per spec as results finish
+ *     (id, seq, spec, cached/store flags, the group metrics of group
+ *     points, and the raw canonical serializeSimStats() blob, which
+ *     quiet requests omit). Then a terminator line
  *       {"id":n,"done":true,"count":c,"simulated":a,"cacheServed":b,
  *        "storeServed":c2,"digest":"<16 hex>"}
  *     where "digest" is FNV-1a folded over the canonical stats blobs
@@ -133,7 +127,7 @@
  * Backpressure: a connection may have at most
  * maxInflightRequestsPerConnection batch requests streaming; the
  * server stops reading further requests until a slot frees, which
- * pushes back through the socket's receive buffer. Result lines are
+ * pushes back through the socket's receive buffer. Result frames are
  * written as futures complete, so a slow reader throttles its own
  * sweeps without buffering results in daemon memory.
  *
@@ -156,19 +150,11 @@ namespace mtv
 {
 
 /** Protocol revision spoken by this build (bump on changes). */
-constexpr int serviceProtocolVersion = 6;
+constexpr int serviceProtocolVersion = 7;
 
 /** Batch requests one connection may keep streaming concurrently;
  *  further requests are not read until a slot frees (backpressure). */
 constexpr int maxInflightRequestsPerConnection = 8;
-
-/** Wire format of a connection's streamed result points (v6). The
- *  default — and the only format v5 clients ever see — is Json. */
-enum class WireFormat : uint8_t
-{
-    Json,
-    Binary
-};
 
 /**
  * First byte of every binary result frame. Deliberately NOT a byte a
@@ -179,8 +165,7 @@ enum class WireFormat : uint8_t
 constexpr uint8_t resultFrameMarker = 0xBF;
 
 /**
- * One streamed result point on a wire=binary connection — the binary
- * twin of a resultToJson() line. On the wire:
+ * One streamed result point of a run or sweep. On the wire:
  *
  *     [0xBF][u32 payloadLen][payload][u64 frameChecksum(payload)]
  *
@@ -241,9 +226,8 @@ std::string encodeResultFrame(const ResultFrame &frame);
 bool decodeResultFrame(const std::string &payload, ResultFrame *out,
                        std::string *error);
 
-/** Build the frame for one result (the binary twin of
- *  resultToJson()). @p blob carries the canonical stats bytes, or
- *  null for a quiet stream. */
+/** Build the frame for one result. @p blob carries the canonical
+ *  stats bytes, or null for a quiet stream. */
 ResultFrame resultToFrame(const RunResult &result, uint64_t id,
                           uint64_t seq, const std::string *blob);
 
@@ -306,23 +290,17 @@ struct Endpoint
 Endpoint parseEndpoint(const std::string &text);
 
 /**
- * One result line of a streamed response. @p includeBlob attaches the
- * hex serializeSimStats() blob (lossless; JSON numbers alone could
- * not round-trip 64-bit counters); a caller that already serialized
- * the stats (the daemon folds the digest over the same bytes) passes
- * them as @p serialized to skip re-encoding.
+ * One result as a JSON object, for humans and tests: id, seq, spec,
+ * cached/store flags, headline counters, group metrics and, with
+ * @p includeBlob, the hex serializeSimStats() blob (lossless; JSON
+ * numbers alone could not round-trip 64-bit counters). A caller that
+ * already serialized the stats passes them as @p serialized to skip
+ * re-encoding. No longer on the wire: since v7 every streamed point
+ * is a ResultFrame.
  */
 Json resultToJson(const RunResult &result, uint64_t id, size_t seq,
                   bool includeBlob,
                   const std::string *serialized = nullptr);
-
-/**
- * Inverse of resultToJson(): decode one streamed result line. When
- * the line carries a blob, the stats are decoded losslessly from it
- * and @p blob (if non-null) receives the raw blob bytes — the digest
- * fold input. fatal()s on malformed lines.
- */
-RunResult resultFromJson(const Json &line, std::string *blob = nullptr);
 
 /** Encode a named-sweep request ("op","id","quiet" added by caller). */
 Json sweepRequestToJson(const SweepRequest &request);
@@ -391,9 +369,9 @@ class LineChannel
     bool readLine(std::string *line);
 
     /**
-     * Read the next message of a v6 stream, whichever kind it is: a
-     * peek at the first byte dispatches between a JSON line (any
-     * byte but the frame marker) and a binary result frame. For
+     * Read the next message of a response stream, whichever kind it
+     * is: a peek at the first byte dispatches between a JSON line
+     * (any byte but the frame marker) and a binary result frame. For
      * Frame, @p out receives the verified payload (feed it to
      * decodeResultFrame()); for Line, the line. BadFrame means the
      * stream is unrecoverable (framing lost) — close the connection.

@@ -161,14 +161,8 @@ MtvService::MtvService(const ServiceOptions &options)
         reg.histogram("service_first_point_us{op=\"sweep\"}");
     obsDoneUs_[0] = reg.histogram("service_done_us{op=\"run\"}");
     obsDoneUs_[1] = reg.histogram("service_done_us{op=\"sweep\"}");
-    obsEncodeUs_[0][0] = reg.histogram(
-        "service_encode_us{op=\"run\",wire=\"json\"}");
-    obsEncodeUs_[0][1] = reg.histogram(
-        "service_encode_us{op=\"run\",wire=\"binary\"}");
-    obsEncodeUs_[1][0] = reg.histogram(
-        "service_encode_us{op=\"sweep\",wire=\"json\"}");
-    obsEncodeUs_[1][1] = reg.histogram(
-        "service_encode_us{op=\"sweep\",wire=\"binary\"}");
+    obsEncodeUs_[0] = reg.histogram("service_encode_us{op=\"run\"}");
+    obsEncodeUs_[1] = reg.histogram("service_encode_us{op=\"sweep\"}");
     obsInflightBatches_ = reg.gauge("service_inflight_batches");
 }
 
@@ -546,15 +540,9 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
     activeRequests_.fetch_add(1);
     obsInflightBatches_->add(1);
 
-    // The wire format is sampled once per batch: a hello racing an
-    // in-flight stream must not flip the encoding mid-stream (the
-    // ack's ordering guarantee is per-request, not per-connection).
-    const bool binary =
-        client.connection.wire() == WireFormat::Binary && !compare;
-
     // Fan the whole batch out up front — identical points of other
     // in-flight requests coalesce inside the engine — then consume
-    // the futures in submission order, writing each line as its
+    // the futures in submission order, writing each frame as its
     // result lands. Every task carries the batch's cancel token and
     // rides this connection's lane, so a cancel/reap frees the
     // queued points and other connections are never head-of-line
@@ -650,19 +638,11 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
             collected.push_back(std::move(result));
             continue;
         }
-        if (binary) {
-            const uint64_t encodeStartUs = monotonicMicros();
-            appendResultFrame(&outbox, result, id, i,
-                              quiet ? nullptr : blob);
-            obsEncodeUs_[sweep][1]->observe(monotonicMicros() -
-                                            encodeStartUs);
-        } else {
-            const uint64_t encodeStartUs = monotonicMicros();
-            outbox += resultToJson(result, id, i, !quiet, blob).dump();
-            outbox.push_back('\n');
-            obsEncodeUs_[sweep][0]->observe(monotonicMicros() -
-                                            encodeStartUs);
-        }
+        const uint64_t encodeStartUs = monotonicMicros();
+        appendResultFrame(&outbox, result, id, i,
+                          quiet ? nullptr : blob);
+        obsEncodeUs_[sweep]->observe(monotonicMicros() -
+                                     encodeStartUs);
         const bool nextReady =
             i + 1 < futures.size() &&
             futures[i + 1].wait_for(std::chrono::seconds(0)) ==

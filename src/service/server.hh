@@ -218,9 +218,8 @@ class MtvService
     // request→first-point and request→done latency per op.
     Histogram *obsFirstPointUs_[2] = {nullptr, nullptr}; ///< [sweep]
     Histogram *obsDoneUs_[2] = {nullptr, nullptr};       ///< [sweep]
-    /** Per-point result encode latency, [sweep][binary wire]. */
-    Histogram *obsEncodeUs_[2][2] = {{nullptr, nullptr},
-                                     {nullptr, nullptr}};
+    /** Per-point result frame encode latency. */
+    Histogram *obsEncodeUs_[2] = {nullptr, nullptr};     ///< [sweep]
     Gauge *obsInflightBatches_ = nullptr;
 
     /** Declared last: torn down (connections joined) before the

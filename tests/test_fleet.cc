@@ -401,9 +401,9 @@ TEST_F(FleetFixture, DeadEndpointAtStartReroutesToSurvivors)
 
 /**
  * A protocol impostor: accepts ONE connection, serves the first
- * point of the run request it receives with a genuine engine result,
- * then slams the connection — a node dying mid-stream, after real
- * progress was acked.
+ * point of the run request it receives as a frame carrying a genuine
+ * engine result, then slams the connection — a node dying
+ * mid-stream, after real progress was acked.
  */
 class FakeHalfDeadNode
 {
@@ -451,21 +451,6 @@ class FakeHalfDeadNode
         std::string error;
         if (!Json::parse(line, &request, &error))
             return;
-        if (request.has("op") &&
-            request.getString("op") == "hello") {
-            // Refuse the binary wire like a JSON-only daemon: the
-            // router must fall back to v5-style lines on this node.
-            Json ok = Json::object();
-            ok.set("ok", true);
-            ok.set("hello", true);
-            ok.set("wire", std::string("json"));
-            ok.set("protocol", static_cast<uint64_t>(6));
-            if (!channel.writeLine(ok.dump()) ||
-                !channel.readLine(&line) ||
-                !Json::parse(line, &request, &error)) {
-                return;
-            }
-        }
         const auto &specs = request.get("specs").asArray();
         if (specs.empty())
             return;
@@ -474,10 +459,11 @@ class FakeHalfDeadNode
         ExperimentEngine engine;
         const RunResult result =
             engine.run(RunSpec::parse(specs[0].asString()));
-        const Json reply = resultToJson(
-            result, request.get("id").asU64(), 0,
-            /*includeBlob=*/true);
-        if (channel.writeLine(reply.dump()))
+        const std::string blob = serializeSimStats(result.stats);
+        std::string frame;
+        appendResultFrame(&frame, result, request.get("id").asU64(), 0,
+                          &blob);
+        if (channel.writeBytes(frame))
             served_ = 1;
         // The channel destructor closes the socket mid-stream.
     }
@@ -714,21 +700,27 @@ TEST_F(FleetFixture, CompareOpScattersAndMatchesLocalTable)
 }
 
 /** Send one request line and read up to its last answer line: an
- *  error, a done line or a one-line answer (acks and points are
- *  skipped). */
+ *  error, a done line or a one-line answer (acks and result frames
+ *  are skipped). */
 Json
 lastAnswer(LineChannel &channel, const std::string &request)
 {
     EXPECT_TRUE(channel.writeLine(request)) << request;
-    std::string line;
-    while (channel.readLine(&line)) {
+    std::string message;
+    for (;;) {
+        const LineChannel::MessageKind kind =
+            channel.readMessage(&message);
+        if (kind == LineChannel::MessageKind::Frame)
+            continue;
+        if (kind != LineChannel::MessageKind::Line)
+            break;
         Json answer;
         std::string error;
-        EXPECT_TRUE(Json::parse(line, &answer, &error)) << error;
-        if (!answer.has("ack") && !answer.has("seq"))
+        EXPECT_TRUE(Json::parse(message, &answer, &error)) << error;
+        if (!answer.has("ack"))
             return answer;
     }
-    ADD_FAILURE() << "connection closed after " << request;
+    ADD_FAILURE() << "connection lost after " << request;
     return Json::object();
 }
 

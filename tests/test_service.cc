@@ -143,6 +143,45 @@ TEST(Protocol, ResultLineCarriesLosslessBlob)
 // Live daemon loopback
 // ---------------------------------------------------------------------
 
+/**
+ * Read the next message of a response stream as JSON: a line is
+ * parsed, and a result frame is decoded and rendered with
+ * resultToJson(), so assertions read one shape for both. A closed
+ * connection or a malformed message fails the test and reads as an
+ * {"error":...} object.
+ */
+Json
+readAnswer(LineChannel &channel)
+{
+    std::string message;
+    std::string error = "connection closed";
+    switch (channel.readMessage(&message)) {
+    case LineChannel::MessageKind::Frame: {
+        ResultFrame frame;
+        if (decodeResultFrame(message, &frame, &error)) {
+            return resultToJson(resultFromFrame(frame), frame.id,
+                                frame.seq, frame.hasBlob, &frame.blob);
+        }
+        break;
+    }
+    case LineChannel::MessageKind::Line: {
+        Json line;
+        if (Json::parse(message, &line, &error))
+            return line;
+        break;
+    }
+    case LineChannel::MessageKind::BadFrame:
+        error = "bad frame";
+        break;
+    case LineChannel::MessageKind::Eof:
+        break;
+    }
+    ADD_FAILURE() << error;
+    Json failed = Json::object();
+    failed.set("error", error);
+    return failed;
+}
+
 /** An MtvService on a temp socket, served from a background thread. */
 class ServiceFixture : public testing::Test
 {
@@ -184,12 +223,7 @@ class ServiceFixture : public testing::Test
     roundTrip(LineChannel &channel, const Json &request)
     {
         EXPECT_TRUE(channel.writeLine(request.dump()));
-        std::string line;
-        EXPECT_TRUE(channel.readLine(&line));
-        Json response;
-        std::string error;
-        EXPECT_TRUE(Json::parse(line, &response, &error)) << error;
-        return response;
+        return readAnswer(channel);
     }
 
     std::string socketPath_;
@@ -232,11 +266,7 @@ TEST_F(ServiceFixture, RunBatchStreamsInOrderAndBitIdentical)
     ASSERT_TRUE(channel.writeLine(request.dump()));
 
     for (size_t i = 0; i < specs.size(); ++i) {
-        std::string line;
-        ASSERT_TRUE(channel.readLine(&line));
-        Json result;
-        std::string error;
-        ASSERT_TRUE(Json::parse(line, &result, &error)) << error;
+        const Json result = readAnswer(channel);
         ASSERT_FALSE(result.has("error"))
             << result.getString("error");
         EXPECT_EQ(result.get("seq").asU64(), i);
@@ -250,11 +280,7 @@ TEST_F(ServiceFixture, RunBatchStreamsInOrderAndBitIdentical)
                              expected[i].speedup);
         }
     }
-    std::string line;
-    ASSERT_TRUE(channel.readLine(&line));
-    Json done;
-    std::string error;
-    ASSERT_TRUE(Json::parse(line, &done, &error)) << error;
+    const Json done = readAnswer(channel);
     EXPECT_TRUE(done.getBool("done"));
     EXPECT_EQ(done.get("count").asU64(), specs.size());
     // The duplicate third spec was coalesced/served by the cache.
@@ -267,9 +293,7 @@ TEST_F(ServiceFixture, MalformedInputAnswersWithoutDying)
 
     // Broken JSON.
     ASSERT_TRUE(channel.writeLine("{not json"));
-    std::string line;
-    ASSERT_TRUE(channel.readLine(&line));
-    EXPECT_NE(line.find("error"), std::string::npos);
+    EXPECT_TRUE(readAnswer(channel).has("error"));
 
     // Valid JSON, unknown op.
     Json bad = Json::object();
@@ -292,13 +316,11 @@ TEST_F(ServiceFixture, MalformedInputAnswersWithoutDying)
     // and the connection stays open.
     for (const char *notObject : {"[1,2]", "3", "\"x\"", "null"}) {
         ASSERT_TRUE(channel.writeLine(notObject)) << notObject;
-        ASSERT_TRUE(channel.readLine(&line)) << notObject;
-        Json error;
-        std::string parseError;
-        ASSERT_TRUE(Json::parse(line, &error, &parseError))
-            << parseError;
-        EXPECT_TRUE(error.has("error")) << notObject << ": " << line;
-        EXPECT_FALSE(error.has("id")) << notObject << ": " << line;
+        const Json error = readAnswer(channel);
+        EXPECT_TRUE(error.has("error"))
+            << notObject << ": " << error.dump();
+        EXPECT_FALSE(error.has("id"))
+            << notObject << ": " << error.dump();
     }
 
     // The daemon survived all of it.
@@ -319,9 +341,8 @@ TEST_F(ServiceFixture, StatsAndClear)
     run.set("specs", std::move(specArray));
     run.set("quiet", true);
     ASSERT_TRUE(channel.writeLine(run.dump()));
-    std::string line;
-    ASSERT_TRUE(channel.readLine(&line));  // the result line
-    ASSERT_TRUE(channel.readLine(&line));  // the done line
+    EXPECT_TRUE(readAnswer(channel).has("seq"));      // the result
+    EXPECT_TRUE(readAnswer(channel).getBool("done"));  // the done line
 
     Json statsRequest = Json::object();
     statsRequest.set("op", "stats");
@@ -349,11 +370,7 @@ TEST_F(ServiceFixture, ConcurrentClientsShareOneEngine)
         specArray.push(spec.canonical());
         request.set("specs", std::move(specArray));
         ASSERT_TRUE(channel.writeLine(request.dump()));
-        std::string line;
-        ASSERT_TRUE(channel.readLine(&line));
-        Json result;
-        std::string error;
-        ASSERT_TRUE(Json::parse(line, &result, &error)) << error;
+        const Json result = readAnswer(channel);
         EXPECT_EQ(
             deserializeSimStats(hexDecode(result.getString("blob")))
                 .cycles,
@@ -430,8 +447,8 @@ sendSweep(LineChannel &channel, uint64_t id,
 }
 
 /**
- * Read response lines, demultiplexing by id, until every stream in
- * @p tallies is done. Verifies per-id seq ordering as it goes.
+ * Read response messages, demultiplexing by id, until every stream
+ * in @p tallies is done. Verifies per-id seq ordering as it goes.
  */
 void
 demux(LineChannel &channel,
@@ -445,11 +462,7 @@ demux(LineChannel &channel,
         return true;
     };
     while (!allDone()) {
-        std::string text;
-        ASSERT_TRUE(channel.readLine(&text));
-        Json line;
-        std::string error;
-        ASSERT_TRUE(Json::parse(text, &line, &error)) << error;
+        const Json line = readAnswer(channel);
         ASSERT_FALSE(line.has("error")) << line.getString("error");
         const uint64_t id = line.get("id").asU64();
         ASSERT_TRUE(tallies.count(id)) << "unknown stream " << id;
@@ -465,7 +478,7 @@ demux(LineChannel &channel,
             tally.done = true;
             continue;
         }
-        // A result line: in submission order within its stream.
+        // A result frame: in submission order within its stream.
         EXPECT_EQ(line.get("seq").asU64(), tally.results);
         const std::string blob = hexDecode(line.getString("blob"));
         tally.clientDigest =
@@ -614,11 +627,7 @@ TEST_F(ServiceFixture, SweepErrorsAnswerWithoutKillingDaemon)
     bad.set("id", 9);
     bad.set("family", "no-such-family");
     ASSERT_TRUE(channel.writeLine(bad.dump()));
-    std::string text;
-    ASSERT_TRUE(channel.readLine(&text));
-    Json response;
-    std::string error;
-    ASSERT_TRUE(Json::parse(text, &response, &error)) << error;
+    const Json response = readAnswer(channel);
     EXPECT_TRUE(response.has("error"));
     EXPECT_EQ(response.get("id").asU64(), 9u);
 
@@ -666,19 +675,13 @@ TEST_F(ServiceFixture, SweepPointsSubsetStreamsInGivenOrder)
     ASSERT_TRUE(channel.writeLine(line.dump()));
 
     // The ack reports the subset size AND the full expansion size.
-    std::string text;
-    ASSERT_TRUE(channel.readLine(&text));
-    Json ack;
-    std::string error;
-    ASSERT_TRUE(Json::parse(text, &ack, &error)) << error;
-    ASSERT_TRUE(ack.getBool("ack", false)) << text;
+    const Json ack = readAnswer(channel);
+    ASSERT_TRUE(ack.getBool("ack", false)) << ack.dump();
     EXPECT_EQ(ack.get("count").asU64(), subset.size());
     EXPECT_EQ(ack.get("total").asU64(), expected.size());
 
     for (size_t i = 0; i < subset.size(); ++i) {
-        ASSERT_TRUE(channel.readLine(&text));
-        Json result;
-        ASSERT_TRUE(Json::parse(text, &result, &error)) << error;
+        const Json result = readAnswer(channel);
         ASSERT_FALSE(result.has("error"))
             << result.getString("error");
         EXPECT_EQ(result.get("seq").asU64(), i);
@@ -688,9 +691,7 @@ TEST_F(ServiceFixture, SweepPointsSubsetStreamsInGivenOrder)
         EXPECT_EQ(hexDecode(result.getString("blob")),
                   serializeSimStats(expected[subset[i]].stats));
     }
-    ASSERT_TRUE(channel.readLine(&text));
-    Json done;
-    ASSERT_TRUE(Json::parse(text, &done, &error)) << error;
+    const Json done = readAnswer(channel);
     EXPECT_TRUE(done.getBool("done", false));
     EXPECT_EQ(done.get("count").asU64(), subset.size());
 
@@ -765,11 +766,7 @@ TEST_F(ServiceFixture, CompareOpAggregatesCrossDesignTable)
     line.set("id", 11);
     ASSERT_TRUE(channel.writeLine(line.dump()));
 
-    std::string text;
-    ASSERT_TRUE(channel.readLine(&text));
-    Json response;
-    std::string error;
-    ASSERT_TRUE(Json::parse(text, &response, &error)) << error;
+    const Json response = readAnswer(channel);
     ASSERT_FALSE(response.has("error"))
         << response.getString("error");
     EXPECT_TRUE(response.getBool("ok", false));
@@ -856,10 +853,7 @@ TEST(TcpTransport, ServesTheSameProtocolAsTheUnixSocket)
     Json ping = Json::object();
     ping.set("op", "ping");
     ASSERT_TRUE(channel.writeLine(ping.dump()));
-    std::string line;
-    ASSERT_TRUE(channel.readLine(&line));
-    Json pong;
-    ASSERT_TRUE(Json::parse(line, &pong, &error)) << error;
+    const Json pong = readAnswer(channel);
     EXPECT_TRUE(pong.getBool("pong"));
     EXPECT_EQ(pong.get("protocol").asU64(),
               static_cast<uint64_t>(serviceProtocolVersion));
@@ -874,9 +868,7 @@ TEST(TcpTransport, ServesTheSameProtocolAsTheUnixSocket)
     specs.push(spec.canonical());
     request.set("specs", std::move(specs));
     ASSERT_TRUE(channel.writeLine(request.dump()));
-    ASSERT_TRUE(channel.readLine(&line));
-    Json result;
-    ASSERT_TRUE(Json::parse(line, &result, &error)) << error;
+    const Json result = readAnswer(channel);
     ASSERT_FALSE(result.has("error")) << result.getString("error");
     EXPECT_EQ(
         hexDecode(result.getString("blob")),
@@ -932,8 +924,7 @@ TEST_F(ServiceFixture, CancelOpStopsInFlightBatch)
     LineChannel victim = connect();
     ASSERT_TRUE(victim.writeLine(runRequest(11, specs, true).dump()));
     // ...streaming for sure (first result arrived)...
-    std::string line;
-    ASSERT_TRUE(victim.readLine(&line));
+    ASSERT_TRUE(readAnswer(victim).has("seq"));
 
     // ...is cancelled BY REQUEST ID from a different connection.
     LineChannel canceller = connect();
@@ -947,9 +938,7 @@ TEST_F(ServiceFixture, CancelOpStopsInFlightBatch)
     // The victim's stream terminates with a cancelled done line.
     Json done;
     for (;;) {
-        ASSERT_TRUE(victim.readLine(&line));
-        std::string error;
-        ASSERT_TRUE(Json::parse(line, &done, &error)) << error;
+        done = readAnswer(victim);
         ASSERT_FALSE(done.has("error")) << done.getString("error");
         if (done.getBool("done", false))
             break;
@@ -989,8 +978,7 @@ TEST_F(ServiceFixture, DisconnectMidSweepFreesQueuedPoints)
         // One result proves the batch is streaming; then the client
         // dies without so much as a goodbye (socket closed by the
         // LineChannel destructor).
-        std::string line;
-        ASSERT_TRUE(victim.readLine(&line));
+        ASSERT_TRUE(readAnswer(victim).has("seq"));
     }
 
     // A live client's sweep, concurrent with the reaping.
@@ -1043,8 +1031,7 @@ TEST_F(ServiceFixture, InteractiveRunNotBlockedBehindBigSweep)
     const auto bulk = distinctSpecs(400, 6000);
     LineChannel sweeper = connect();
     ASSERT_TRUE(sweeper.writeLine(runRequest(7, bulk, true).dump()));
-    std::string line;
-    ASSERT_TRUE(sweeper.readLine(&line));  // the sweep is streaming
+    ASSERT_TRUE(readAnswer(sweeper).has("seq"));  // it is streaming
 
     const std::vector<RunSpec> one = {RunSpec::single(
         "dyfesm", MachineParams::reference(), testScale)};
@@ -1053,9 +1040,7 @@ TEST_F(ServiceFixture, InteractiveRunNotBlockedBehindBigSweep)
         interactive.writeLine(runRequest(8, one, false).dump()));
     Json done;
     for (;;) {
-        ASSERT_TRUE(interactive.readLine(&line));
-        std::string error;
-        ASSERT_TRUE(Json::parse(line, &done, &error)) << error;
+        done = readAnswer(interactive);
         ASSERT_FALSE(done.has("error")) << done.getString("error");
         if (done.getBool("done", false))
             break;
@@ -1066,10 +1051,8 @@ TEST_F(ServiceFixture, InteractiveRunNotBlockedBehindBigSweep)
 
     // Drain the sweep so teardown is orderly.
     for (;;) {
-        ASSERT_TRUE(sweeper.readLine(&line));
-        Json parsed;
-        std::string error;
-        ASSERT_TRUE(Json::parse(line, &parsed, &error)) << error;
+        const Json parsed = readAnswer(sweeper);
+        ASSERT_FALSE(parsed.has("error")) << parsed.getString("error");
         if (parsed.getBool("done", false))
             break;
     }
@@ -1096,8 +1079,7 @@ TEST_F(ServiceFixture, StatusOpReportsLifecycle)
     const auto specs = distinctSpecs(60, 9000);
     LineChannel runner = connect();
     ASSERT_TRUE(runner.writeLine(runRequest(21, specs, true).dump()));
-    std::string line;
-    ASSERT_TRUE(runner.readLine(&line));
+    ASSERT_TRUE(readAnswer(runner).has("seq"));
     const Json busy = roundTrip(channel, status);
     ASSERT_EQ(busy.get("connections").asArray().size(), 1u);
     const Json &conn = busy.get("connections").asArray()[0];
@@ -1106,10 +1088,8 @@ TEST_F(ServiceFixture, StatusOpReportsLifecycle)
 
     // Drain so teardown is orderly.
     for (;;) {
-        ASSERT_TRUE(runner.readLine(&line));
-        Json parsed;
-        std::string error;
-        ASSERT_TRUE(Json::parse(line, &parsed, &error)) << error;
+        const Json parsed = readAnswer(runner);
+        ASSERT_FALSE(parsed.has("error")) << parsed.getString("error");
         if (parsed.getBool("done", false))
             break;
     }
@@ -1136,12 +1116,9 @@ TEST_F(ServiceFixture, MetricsOpReportsRegistryAndProm)
     const auto specs = distinctSpecs(3, 12000);
     LineChannel runner = connect();
     ASSERT_TRUE(runner.writeLine(runRequest(31, specs, true).dump()));
-    std::string line;
     for (;;) {
-        ASSERT_TRUE(runner.readLine(&line));
-        Json parsed;
-        std::string error;
-        ASSERT_TRUE(Json::parse(line, &parsed, &error)) << error;
+        const Json parsed = readAnswer(runner);
+        ASSERT_FALSE(parsed.has("error")) << parsed.getString("error");
         if (parsed.getBool("done", false))
             break;
     }
@@ -1211,11 +1188,10 @@ TEST(ServiceStore, StatusReportsPerShardStoreCounters)
         const auto specs = distinctSpecs(6, 20000);
         ASSERT_TRUE(
             channel.writeLine(runRequest(41, specs, true).dump()));
-        std::string line;
         for (;;) {
-            ASSERT_TRUE(channel.readLine(&line));
-            Json parsed;
-            ASSERT_TRUE(Json::parse(line, &parsed, &error)) << error;
+            const Json parsed = readAnswer(channel);
+            ASSERT_FALSE(parsed.has("error"))
+                << parsed.getString("error");
             if (parsed.getBool("done", false))
                 break;
         }
@@ -1223,9 +1199,7 @@ TEST(ServiceStore, StatusReportsPerShardStoreCounters)
         Json status = Json::object();
         status.set("op", "status");
         ASSERT_TRUE(channel.writeLine(status.dump()));
-        ASSERT_TRUE(channel.readLine(&line));
-        Json s;
-        ASSERT_TRUE(Json::parse(line, &s, &error)) << error;
+        const Json s = readAnswer(channel);
         ASSERT_EQ(s.get("shards").type(), Json::Type::Array);
         ASSERT_EQ(s.get("shards").asArray().size(), 4u);
         uint64_t appends = 0, records = 0;
@@ -1565,27 +1539,30 @@ TEST(Protocol, SubmitFastPathCarriesCanonicalBlobZeroCopy)
 
 TEST_F(ServiceFixture, HelloNegotiatesWireFormat)
 {
+    // Frames are the only result wire (protocol 7): a hello without a
+    // "wire" or with "binary" confirms it, any other value — "json"
+    // included — is an error, and the connection keeps answering.
     LineChannel channel = connect();
     Json hello = Json::object();
     hello.set("op", "hello");
-    hello.set("wire", std::string("binary"));
-    const Json confirm = roundTrip(channel, hello);
-    EXPECT_TRUE(confirm.getBool("ok"));
-    EXPECT_TRUE(confirm.getBool("hello"));
-    EXPECT_EQ(confirm.getString("wire"), "binary");
-    EXPECT_EQ(confirm.get("protocol").asU64(),
-              static_cast<uint64_t>(serviceProtocolVersion));
-
-    // An unknown wire value is an error and the connection stays on
-    // JSON — control ops keep answering lines.
-    LineChannel other = connect();
-    Json bad = Json::object();
-    bad.set("op", "hello");
-    bad.set("wire", std::string("carrier-pigeon"));
-    EXPECT_TRUE(roundTrip(other, bad).has("error"));
+    for (const bool named : {false, true}) {
+        if (named)
+            hello.set("wire", std::string("binary"));
+        const Json confirm = roundTrip(channel, hello);
+        EXPECT_TRUE(confirm.getBool("ok")) << confirm.dump();
+        EXPECT_TRUE(confirm.getBool("hello"));
+        EXPECT_EQ(confirm.getString("wire"), "binary");
+        EXPECT_EQ(confirm.get("protocol").asU64(), 7u);
+    }
+    for (const char *wire : {"json", "carrier-pigeon"}) {
+        hello.set("wire", std::string(wire));
+        const Json refused = roundTrip(channel, hello);
+        EXPECT_TRUE(refused.has("error")) << wire;
+        EXPECT_FALSE(refused.getBool("ok")) << wire;
+    }
     Json ping = Json::object();
     ping.set("op", "ping");
-    EXPECT_TRUE(roundTrip(other, ping).getBool("pong"));
+    EXPECT_TRUE(roundTrip(channel, ping).getBool("pong"));
 }
 
 TEST_F(ServiceFixture, BinarySweepStreamsBitIdenticalFrames)
@@ -1599,22 +1576,9 @@ TEST_F(ServiceFixture, BinarySweepStreamsBitIdenticalFrames)
     const auto expected =
         localEngine.runAll(expandSweep(request).specs());
 
-    // The v5-style JSON stream of the same sweep, for comparison.
-    LineChannel jsonChannel = connect();
-    sendSweep(jsonChannel, 1, request);
-    std::unordered_map<uint64_t, StreamTally> tallies;
-    tallies[1] = StreamTally();
-    demux(jsonChannel, tallies);
-    const StreamTally &jsonTally = tallies[1];
-    ASSERT_EQ(jsonTally.blobs.size(), expected.size());
-
-    // Binary side: negotiate, then the points arrive as frames while
-    // the ack and done lines stay JSON.
+    // No hello: the points arrive as frames on every connection,
+    // while the ack and done lines stay JSON.
     LineChannel channel = connect();
-    Json hello = Json::object();
-    hello.set("op", "hello");
-    hello.set("wire", std::string("binary"));
-    ASSERT_TRUE(roundTrip(channel, hello).getBool("ok"));
     sendSweep(channel, 2, request);
 
     uint64_t seq = 0;
@@ -1667,15 +1631,13 @@ TEST_F(ServiceFixture, BinarySweepStreamsBitIdenticalFrames)
 
     EXPECT_TRUE(sawAck);
     ASSERT_EQ(blobs.size(), expected.size());
-    // Frame blobs byte-identical to the JSON stream's hex blobs and
-    // to the in-process run; both wires fold to one digest.
+    // Frame blobs byte-identical to the in-process run, folding to
+    // the daemon's digest.
     for (size_t i = 0; i < blobs.size(); ++i) {
-        EXPECT_EQ(blobs[i], jsonTally.blobs[i]) << "point " << i;
         EXPECT_EQ(blobs[i], serializeSimStats(expected[i].stats))
             << "point " << i;
     }
     EXPECT_EQ(serverDigest, digestHex(clientDigest));
-    EXPECT_EQ(serverDigest, jsonTally.serverDigest);
 }
 
 TEST_F(ServiceFixture, FrameOnRequestChannelAnswersBadFrame)

@@ -110,8 +110,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: mtvctl [--socket PATH | --tcp HOST:PORT | "
-        "--fleet EP1,EP2,...] [--wire binary|json] <command> "
-        "[options]\n"
+        "--fleet EP1,EP2,...] <command> [options]\n"
         "  ping | stats | status | clear | shutdown\n"
         "  run <program> [--contexts N] [--scale S]\n"
         "  sweep [--scale S] [--family F] [--program P] "
@@ -121,45 +120,8 @@ usage()
         "  warm [--scale S] [--family F]\n"
         "  cancel <request-id>\n"
         "  metrics [--prom]\n"
-        "(--fleet applies to sweep, compare, warm and metrics;\n"
-        " --wire picks the result-point encoding — binary "
-        "negotiates\n"
-        " the v6 frame wire and falls back to json on old "
-        "daemons)\n");
+        "(--fleet applies to sweep, compare, warm and metrics)\n");
     return 2;
-}
-
-/** Result-point wire the client asks for (global --wire flag).
- *  Binary is the default; negotiation falls back to JSON against a
- *  daemon that does not speak it. */
-WireFormat requestedWire = WireFormat::Binary;
-
-/**
- * Negotiate the result-point wire on a fresh connection (streaming
- * commands only — one-line answers have no result points). Returns
- * true when the daemon confirmed binary frames; false means the
- * connection stays on JSON — either by request (--wire json) or
- * because an old daemon answered "unknown op" (the v5 fallback).
- */
-bool
-negotiateWire(LineChannel &channel)
-{
-    if (requestedWire != WireFormat::Binary)
-        return false;
-    Json hello = Json::object();
-    hello.set("op", "hello");
-    hello.set("wire", "binary");
-    if (!channel.writeLine(hello.dump()))
-        fatal("cannot send hello (daemon gone?)");
-    std::string line;
-    if (!channel.readLine(&line))
-        fatal("daemon closed the connection during hello");
-    Json response;
-    std::string error;
-    if (!Json::parse(line, &response, &error))
-        fatal("malformed hello response: %s", error.c_str());
-    return response.getBool("ok", false) &&
-           response.getString("wire", "") == "binary";
 }
 
 /** Outcome of one streamed batch (run or sweep) from the daemon. */
@@ -213,13 +175,13 @@ connectChannel(const Endpoint &endpoint)
     return LineChannel(fd);
 }
 
-/** Called per result line, in submission order. */
+/** Called per result point, in submission order. */
 using PointHook =
     std::function<void(const RunResult &result, size_t seq)>;
 
 /**
  * Consume the streamed response of request @p id until its done
- * line: result lines are decoded (blob and all), the digest folded,
+ * line: result frames are decoded (blob and all), the digest folded,
  * and @p hook invoked per point. @p expected is the point count from
  * the request (run) or the ack (sweep).
  */
@@ -232,9 +194,8 @@ consumeStream(LineChannel &channel, uint64_t id, size_t expected,
     outcome.results.reserve(expected);
     bool sawBlobs = false;
     for (;;) {
-        // A v6 stream interleaves two message kinds: binary result
-        // frames (wire=binary points) and JSON lines (every point of
-        // a JSON stream, plus acks/done/errors in either mode).
+        // Result points arrive as binary frames, interleaved with
+        // JSON control lines (ack, done, errors).
         std::string msg;
         const LineChannel::MessageKind kind =
             channel.readMessage(&msg);
@@ -254,8 +215,6 @@ consumeStream(LineChannel &channel, uint64_t id, size_t expected,
             if (seq != outcome.results.size() || seq >= expected)
                 fatal("result stream out of order (seq %zu)", seq);
             if (frame.hasBlob) {
-                // Same fold as the JSON path: raw canonical bytes,
-                // here straight from the frame — no hex decode.
                 outcome.digest = fnv1a64(frame.blob.data(),
                                          frame.blob.size(),
                                          outcome.digest);
@@ -278,44 +237,29 @@ consumeStream(LineChannel &channel, uint64_t id, size_t expected,
             fatal("response for unknown request id %llu",
                   static_cast<unsigned long long>(
                       line.get("id").asU64()));
-        if (line.getBool("done", false) &&
-            line.getBool("cancelled", false)) {
+        if (!line.getBool("done", false))
+            fatal("unexpected line in the result stream: %s",
+                  msg.c_str());
+        if (line.getBool("cancelled", false)) {
             outcome.cancelled = true;
             break;
         }
-        if (line.getBool("done", false)) {
-            outcome.simulated = line.get("simulated").asU64();
-            outcome.cacheServed = line.get("cacheServed").asU64();
-            outcome.storeServed = line.get("storeServed").asU64();
-            const std::string server = line.getString("digest");
-            if (!sawBlobs) {
-                // Quiet batch: adopt the server-folded digest.
-                outcome.digest =
-                    std::strtoull(server.c_str(), nullptr, 16);
-            } else if (server !=
-                       format("%016llx",
-                              static_cast<unsigned long long>(
-                                  outcome.digest))) {
-                fatal("server digest %s != client digest %016llx",
-                      server.c_str(),
-                      static_cast<unsigned long long>(
-                          outcome.digest));
-            }
-            break;
-        }
-        const size_t seq = line.get("seq").asU64();
-        if (seq != outcome.results.size() || seq >= expected)
-            fatal("result stream out of order (seq %zu)", seq);
-        std::string blob;
-        RunResult result = resultFromJson(line, &blob);
-        if (!blob.empty()) {
+        outcome.simulated = line.get("simulated").asU64();
+        outcome.cacheServed = line.get("cacheServed").asU64();
+        outcome.storeServed = line.get("storeServed").asU64();
+        const std::string server = line.getString("digest");
+        if (!sawBlobs) {
+            // Quiet batch: adopt the server-folded digest.
             outcome.digest =
-                fnv1a64(blob.data(), blob.size(), outcome.digest);
-            sawBlobs = true;
+                std::strtoull(server.c_str(), nullptr, 16);
+        } else if (server !=
+                   format("%016llx", static_cast<unsigned long long>(
+                                         outcome.digest))) {
+            fatal("server digest %s != client digest %016llx",
+                  server.c_str(),
+                  static_cast<unsigned long long>(outcome.digest));
         }
-        if (hook)
-            hook(result, seq);
-        outcome.results.push_back(std::move(result));
+        break;
     }
     if (!outcome.cancelled && outcome.results.size() != expected)
         fatal("daemon returned %zu of %zu results",
@@ -535,7 +479,6 @@ cmdSweep(const Endpoint &endpoint, const SweepRequest &request,
          bool quiet, bool follow)
 {
     LineChannel channel = connectChannel(endpoint);
-    const bool binaryWire = negotiateWire(channel);
     constexpr uint64_t id = 1;
     Json line = sweepRequestToJson(request);
     line.set("op", "sweep");
@@ -580,8 +523,7 @@ cmdSweep(const Endpoint &endpoint, const SweepRequest &request,
                 request.family.c_str());
     // The stream's wire throughput, client-side: every byte the
     // daemon sent this connection (results AND control lines).
-    std::printf("wire: %s received=%llu bytes (%.1f MB/s)\n",
-                binaryWire ? "binary" : "json",
+    std::printf("wire: received=%llu bytes (%.1f MB/s)\n",
                 static_cast<unsigned long long>(channel.bytesRead()),
                 seconds > 0
                     ? static_cast<double>(channel.bytesRead()) /
@@ -663,7 +605,6 @@ cmdRun(const Endpoint &endpoint, const std::string &program,
                       : MachineParams::multithreaded(contexts);
     const RunSpec spec = RunSpec::single(program, params, scale);
     LineChannel channel = connectChannel(endpoint);
-    negotiateWire(channel);
     Json request = Json::object();
     request.set("op", "run");
     request.set("id", 1);
@@ -952,16 +893,6 @@ main(int argc, char **argv)
             }
             if (fleetNodes.empty())
                 fatal("--fleet expects a comma-separated node list");
-            i += 2;
-        } else if (std::strcmp(argv[i], "--wire") == 0) {
-            const std::string wanted = argv[i + 1];
-            if (wanted == "json")
-                requestedWire = WireFormat::Json;
-            else if (wanted == "binary")
-                requestedWire = WireFormat::Binary;
-            else
-                fatal("--wire expects json or binary, got '%s'",
-                      wanted.c_str());
             i += 2;
         } else {
             break;

@@ -15,7 +15,7 @@
  *   mtvloadgen [--socket PATH | --tcp HOST:PORT]
  *              [--clients N] [--requests N] [--rps R] [--scale S]
  *              [--spec-space M] [--sweep-points N]
- *              [--wire binary|json] [--stream-bench N] [--json]
+ *              [--stream-bench N] [--json]
  *
  * Defaults: 8 clients x 50 requests, unpaced, scale 2e-5, 32
  * distinct specs per client, no background sweep. Each client draws
@@ -23,17 +23,15 @@
  * simulation, the memory cache and (when the daemon has one) the
  * store rather than one endlessly-cached point.
  *
- * --wire picks the v6 result-point encoding (binary negotiates the
- * frame wire, falling back to JSON on old daemons); the report then
- * carries the received byte count and MB/s.
+ * The report carries the received byte count and MB/s.
  *
  * --stream-bench N replaces the closed-loop run with a streaming
  * throughput measurement: warm an N-point sweep once (quiet), then
- * stream it non-quiet twice — once per wire format — and report
+ * stream it with per-point blobs and quiet, alternately, and report
  * points/s for each. With --json the output is bench-shaped
- * ({"benchmarks":[{"name":"stream_binary","sim_cycles/s":p},...]}),
- * so tools/perf_gate.py --min-ratio can ratchet binary >= k x JSON
- * in CI.
+ * ({"benchmarks":[{"name":"stream_full","sim_cycles/s":p},...]}),
+ * so tools/perf_gate.py --min-ratio can bound what carrying the
+ * blobs costs against a quiet stream in CI.
  *
  * Exit status: 0 on success, 1 when any request failed or nothing
  * completed (the smoke job treats that as a hard failure).
@@ -72,36 +70,9 @@ usage()
         "usage: mtvloadgen [--socket PATH | --tcp HOST:PORT]\n"
         "                  [--clients N] [--requests N] [--rps R]\n"
         "                  [--scale S] [--spec-space M]\n"
-        "                  [--sweep-points N] [--wire binary|json]\n"
-        "                  [--stream-bench N] [--json]\n");
+        "                  [--sweep-points N] [--stream-bench N]\n"
+        "                  [--json]\n");
     return 2;
-}
-
-/** Result-point wire the clients ask for (--wire). */
-WireFormat requestedWire = WireFormat::Binary;
-
-/** Send the v6 hello on a fresh connection when binary was
- *  requested; false = the stream stays JSON (explicit --wire json,
- *  or an old daemon answered "unknown op"). */
-bool
-negotiateWire(LineChannel &channel, bool binary)
-{
-    if (!binary)
-        return false;
-    Json hello = Json::object();
-    hello.set("op", "hello");
-    hello.set("wire", "binary");
-    std::string line;
-    if (!channel.writeLine(hello.dump()) ||
-        !channel.readLine(&line)) {
-        return false;
-    }
-    Json response;
-    std::string parseError;
-    if (!Json::parse(line, &response, &parseError))
-        return false;
-    return response.getBool("ok", false) &&
-           response.getString("wire", "") == "binary";
 }
 
 /** One client thread's tally, merged after the run. */
@@ -132,7 +103,6 @@ runClient(const Endpoint &endpoint, int index, int requests,
         return tally;
     }
     LineChannel channel(fd);
-    negotiateWire(channel, requestedWire == WireFormat::Binary);
     tally.latenciesUs.reserve(requests);
 
     const uint64_t startUs = monotonicMicros();
@@ -178,11 +148,8 @@ runClient(const Endpoint &endpoint, int index, int requests,
                 failed = true;
                 break;
             }
-            if (kind == LineChannel::MessageKind::Frame) {
-                // A binary result point; "done" is a JSON line in
-                // either wire mode, so just keep reading.
-                continue;
-            }
+            if (kind == LineChannel::MessageKind::Frame)
+                continue;  // a result point; "done" is a JSON line
             Json response;
             std::string parseError;
             if (!Json::parse(line, &response, &parseError)) {
@@ -228,9 +195,8 @@ benchSweep(int points, double scale)
     sweep.scale = scale;
     // Stream points carrying a loaded queue — the section-7 order
     // three times over — so every result hauls a realistically full
-    // set of job records. The bench measures result *streaming*, and
-    // a near-empty payload would mostly measure per-point fixed
-    // overhead that both wires share.
+    // set of job records: the blobs a full pass carries and a quiet
+    // pass drops are realistically large.
     for (int rep = 0; rep < 3; ++rep)
         for (const auto &job : jobQueueOrder())
             sweep.jobs.push_back(job);
@@ -243,21 +209,19 @@ benchSweep(int points, double scale)
 struct StreamPass
 {
     bool ok = false;
-    bool binary = false;  ///< what the connection actually negotiated
     uint64_t points = 0;
     uint64_t bytes = 0;
     double seconds = 0;
 };
 
 /**
- * Stream @p sweep once on a fresh connection negotiated to the
- * requested wire, timing ack -> done. Non-quiet unless @p quiet, so
- * the measured passes carry the full per-point stats payload — the
- * thing the two wire formats encode differently.
+ * Stream @p sweep once on a fresh connection, timing send -> done.
+ * Non-quiet passes carry every point's full stats blob; quiet ones
+ * stream the same frames without it.
  */
 StreamPass
 streamOnce(const Endpoint &endpoint, const SweepRequest &sweep,
-           bool binary, bool quiet)
+           bool quiet)
 {
     StreamPass pass;
     std::string error;
@@ -267,11 +231,6 @@ streamOnce(const Endpoint &endpoint, const SweepRequest &sweep,
         return pass;
     }
     LineChannel channel(fd);
-    pass.binary = negotiateWire(channel, binary);
-    if (binary && !pass.binary) {
-        warn("stream bench: daemon refused the binary wire");
-        return pass;
-    }
     Json request = sweepRequestToJson(sweep);
     request.set("op", "sweep");
     request.set("id", static_cast<uint64_t>(1));
@@ -309,12 +268,12 @@ streamOnce(const Endpoint &endpoint, const SweepRequest &sweep,
         }
         if (response.getBool("ack", false))
             continue;
-        if (response.getBool("done", false)) {
-            if (response.getBool("cancelled", false))
-                return pass;
-            break;
+        if (!response.getBool("done", false) ||
+            response.getBool("cancelled", false)) {
+            warn("stream bench: unexpected line: %s", message.c_str());
+            return pass;
         }
-        ++pass.points;
+        break;
     }
     pass.seconds =
         static_cast<double>(monotonicMicros() - startUs) / 1e6;
@@ -324,45 +283,40 @@ streamOnce(const Endpoint &endpoint, const SweepRequest &sweep,
 }
 
 /**
- * The --stream-bench mode: warm the sweep once (quiet, JSON — the
- * results land in cache/store so the measured passes stream finished
- * points and the wire is the only variable), then stream it
- * non-quiet once per wire format and report points/s for each.
+ * The --stream-bench mode: warm the sweep once (quiet — the results
+ * land in cache/store so the measured passes stream finished points
+ * and the payload is the only variable), then stream it with blobs
+ * and quiet, alternately, and report points/s for each.
  */
 int
 runStreamBench(const Endpoint &endpoint, int points, double scale,
                bool json)
 {
     const SweepRequest sweep = benchSweep(points, scale);
-    const StreamPass warm =
-        streamOnce(endpoint, sweep, /*binary=*/false, /*quiet=*/true);
+    const StreamPass warm = streamOnce(endpoint, sweep, /*quiet=*/true);
     if (!warm.ok)
         return 1;
-    // Best of three alternating passes per wire: every point is a
+    // Best of three alternating passes per kind: every point is a
     // warm cache hit, so pass time is pure streaming cost and the
     // fastest pass is the least scheduler-perturbed sample.
     constexpr int benchPasses = 3;
-    StreamPass jsonPass{};
-    StreamPass binaryPass{};
+    StreamPass passes[2]{};  // [quiet]
     for (int pass = 0; pass < benchPasses; ++pass) {
-        const StreamPass j = streamOnce(
-            endpoint, sweep, /*binary=*/false, /*quiet=*/false);
-        if (!j.ok)
-            return 1;
-        if (!jsonPass.ok || j.seconds < jsonPass.seconds)
-            jsonPass = j;
-        const StreamPass b = streamOnce(
-            endpoint, sweep, /*binary=*/true, /*quiet=*/false);
-        if (!b.ok || !b.binary)
-            return 1;
-        if (!binaryPass.ok || b.seconds < binaryPass.seconds)
-            binaryPass = b;
+        for (const bool quiet : {false, true}) {
+            const StreamPass p = streamOnce(endpoint, sweep, quiet);
+            if (!p.ok)
+                return 1;
+            StreamPass &best = passes[quiet];
+            if (!best.ok || p.seconds < best.seconds)
+                best = p;
+        }
     }
-    const double jsonRate = static_cast<double>(jsonPass.points) /
-                            std::max(jsonPass.seconds, 1e-9);
-    const double binaryRate =
-        static_cast<double>(binaryPass.points) /
-        std::max(binaryPass.seconds, 1e-9);
+    const auto rate = [](const StreamPass &p) {
+        return static_cast<double>(p.points) /
+               std::max(p.seconds, 1e-9);
+    };
+    const double fullRate = rate(passes[0]);
+    const double quietRate = rate(passes[1]);
     if (json) {
         // Bench-shaped on purpose: perf_gate.py --min-ratio reads
         // benchmarks[].{name, sim_cycles/s} (here points/s — the
@@ -373,8 +327,8 @@ runStreamBench(const Endpoint &endpoint, int points, double scale,
         {
             const char *name;
             double rate;
-        } rows[] = {{"stream_binary", binaryRate},
-                    {"stream_json", jsonRate}};
+        } rows[] = {{"stream_full", fullRate},
+                    {"stream_quiet", quietRate}};
         for (const auto &row : rows) {
             Json bench = Json::object();
             bench.set("name", std::string(row.name));
@@ -387,18 +341,17 @@ runStreamBench(const Endpoint &endpoint, int points, double scale,
         std::printf("stream bench: %llu warmed points on %s\n",
                     static_cast<unsigned long long>(warm.points),
                     endpoint.describe().c_str());
-        std::printf("json:   %.0f points/s (%llu bytes, %.1f MB/s)\n",
-                    jsonRate,
-                    static_cast<unsigned long long>(jsonPass.bytes),
-                    static_cast<double>(jsonPass.bytes) /
-                        std::max(jsonPass.seconds, 1e-9) / 1e6);
-        std::printf("binary: %.0f points/s (%llu bytes, %.1f MB/s), "
-                    "%.2fx json\n",
-                    binaryRate,
-                    static_cast<unsigned long long>(binaryPass.bytes),
-                    static_cast<double>(binaryPass.bytes) /
-                        std::max(binaryPass.seconds, 1e-9) / 1e6,
-                    binaryRate / std::max(jsonRate, 1e-9));
+        const char *labels[2] = {"full: ", "quiet:"};
+        for (const bool quiet : {false, true}) {
+            const StreamPass &p = passes[quiet];
+            std::printf("%s %.0f points/s (%llu bytes, %.1f MB/s)\n",
+                        labels[quiet], rate(p),
+                        static_cast<unsigned long long>(p.bytes),
+                        static_cast<double>(p.bytes) /
+                            std::max(p.seconds, 1e-9) / 1e6);
+        }
+        std::printf("full/quiet: %.2f\n",
+                    fullRate / std::max(quietRate, 1e-9));
     }
     return 0;
 }
@@ -463,15 +416,6 @@ main(int argc, char **argv)
         } else if (arg == "--sweep-points") {
             sweepPoints = static_cast<int>(
                 parseIntFlag(value(), "--sweep-points", 0, 10000000));
-        } else if (arg == "--wire") {
-            const std::string wanted = value();
-            if (wanted == "json")
-                requestedWire = WireFormat::Json;
-            else if (wanted == "binary")
-                requestedWire = WireFormat::Binary;
-            else
-                fatal("--wire expects json or binary, got '%s'",
-                      wanted.c_str());
         } else if (arg == "--stream-bench") {
             streamBench = static_cast<int>(
                 parseIntFlag(value(), "--stream-bench", 1, 10000000));
@@ -522,11 +466,20 @@ main(int argc, char **argv)
             fatal("cannot send sweep request (daemon gone?)");
 
         sweepThread = std::thread([&sweepTally, &sweepChannel] {
-            std::string line;
-            while (sweepChannel->readLine(&line)) {
+            std::string message;
+            for (;;) {
+                const LineChannel::MessageKind kind =
+                    sweepChannel->readMessage(&message);
+                if (kind == LineChannel::MessageKind::Eof ||
+                    kind == LineChannel::MessageKind::BadFrame)
+                    break;
+                if (kind == LineChannel::MessageKind::Frame) {
+                    ++sweepTally.pointsStreamed;
+                    continue;
+                }
                 Json response;
                 std::string parseError;
-                if (!Json::parse(line, &response, &parseError)) {
+                if (!Json::parse(message, &response, &parseError)) {
                     sweepTally.requestFailed = true;
                     return;
                 }
@@ -538,13 +491,12 @@ main(int argc, char **argv)
                 }
                 if (response.getBool("ack", false))
                     continue;
-                if (response.getBool("done", false)) {
-                    // Completed or cancelled: both are clean ends
-                    // for a background-load sweep.
-                    sweepTally.sawTerminator = true;
-                    return;
-                }
-                ++sweepTally.pointsStreamed;
+                if (!response.getBool("done", false))
+                    break;
+                // Completed or cancelled: both are clean ends for a
+                // background-load sweep.
+                sweepTally.sawTerminator = true;
+                return;
             }
             sweepTally.requestFailed = true;
         });
@@ -636,9 +588,6 @@ main(int argc, char **argv)
         out.set("maxMs", completed
                              ? static_cast<double>(merged.back()) / 1e3
                              : 0.0);
-        out.set("wire", std::string(requestedWire == WireFormat::Binary
-                                        ? "binary"
-                                        : "json"));
         out.set("bytesRead", bytesRead);
         out.set("mbPerS", durationS > 0
                               ? static_cast<double>(bytesRead) /
@@ -664,9 +613,7 @@ main(int argc, char **argv)
                     completed
                         ? static_cast<double>(merged.back()) / 1e3
                         : 0.0);
-        std::printf("wire: %s received=%llu bytes (%.1f MB/s)\n",
-                    requestedWire == WireFormat::Binary ? "binary"
-                                                        : "json",
+        std::printf("wire: received=%llu bytes (%.1f MB/s)\n",
                     static_cast<unsigned long long>(bytesRead),
                     durationS > 0 ? static_cast<double>(bytesRead) /
                                         durationS / 1e6
