@@ -9,7 +9,6 @@
 #include "bench/bench_util.hh"
 #include "src/common/strutil.hh"
 #include "src/common/table.hh"
-#include "src/driver/experiments.hh"
 
 int
 main()

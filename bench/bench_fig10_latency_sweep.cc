@@ -14,7 +14,6 @@
 #include "src/common/chart.hh"
 #include "src/common/strutil.hh"
 #include "src/common/table.hh"
-#include "src/driver/experiments.hh"
 
 int
 main()

@@ -10,7 +10,6 @@
 
 #include "bench/bench_util.hh"
 #include "src/common/table.hh"
-#include "src/driver/experiments.hh"
 
 int
 main()

@@ -8,7 +8,6 @@
 
 #include "bench/bench_util.hh"
 #include "src/common/table.hh"
-#include "src/driver/experiments.hh"
 
 int
 main()

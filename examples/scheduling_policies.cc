@@ -39,9 +39,9 @@ main(int argc, char **argv)
 
     const uint64_t solo =
         engine
-            .statsFor(RunSpec::reference(
-                "arc2d", MachineParams::reference(), scale))
-            .cycles;
+            .run(RunSpec::reference("arc2d", MachineParams::reference(),
+                                    scale))
+            .stats.cycles;
     std::printf("thread 0 = arc2d (solo: %llu cycles); companions: "
                 "tomcatv, trfd, dyfesm\n\n",
                 static_cast<unsigned long long>(solo));

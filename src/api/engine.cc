@@ -514,24 +514,6 @@ ExperimentEngine::cachedStats(
     return stats;
 }
 
-const SimStats &
-ExperimentEngine::statsFor(const RunSpec &spec)
-{
-    if (!memoize_)
-        fatal("statsFor needs a memoizing engine (its reference "
-              "points into the cache); use run() instead");
-    if (maxCacheEntries_ != 0)
-        fatal("statsFor needs an unbounded cache (entries evict "
-              "under maxCacheEntries=%zu); use run() instead",
-              maxCacheEntries_);
-    if (spec.maxInstructions != 0)
-        fatal("truncated runs are not cached (their dispatch-count "
-              "keys never repeat); use run() instead");
-    // The cache never evicts on this engine, so the referenced object
-    // lives until clear() or destruction.
-    return *cachedStats(spec, nullptr);
-}
-
 void
 ExperimentEngine::clear()
 {

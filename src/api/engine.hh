@@ -25,9 +25,9 @@
  *    the multithreaded run plus the C_i / F_i reference terms, all
  *    served through the cache.
  *  - By default cache entries are never evicted and references
- *    returned by statsFor()/programStats() stay valid for the
- *    engine's lifetime. Long-lived daemons bound the cache with
- *    EngineOptions::maxCacheEntries (LRU eviction; statsFor() is
+ *    returned by programStats() stay valid for the engine's
+ *    lifetime. Long-lived daemons bound the cache with
+ *    EngineOptions::maxCacheEntries (LRU eviction; programStats() is
  *    unavailable there) and/or clear() it wholesale.
  *  - Multi-tenant scheduling: the queue is not one global FIFO but a
  *    set of lanes (openLane()/closeLane(), one per daemon connection;
@@ -154,8 +154,8 @@ struct EngineOptions
      * used result entry is evicted on overflow — pair with a backend
      * so evicted results stay a disk read away — the group-metric
      * and trace-stat side caches are flushed wholesale at the same
-     * bound, and statsFor()/programStats() are unavailable (their
-     * references could dangle).
+     * bound, and programStats() is unavailable (its references
+     * could dangle).
      */
     size_t maxCacheEntries = 0;
     /**
@@ -296,16 +296,6 @@ class ExperimentEngine
     size_t discardQueued();
 
     /**
-     * Cached SimStats of @p spec's own run (no group accounting),
-     * computed on the calling thread on a miss. The reference points
-     * into the never-evicting cache and stays valid until clear() or
-     * the engine's destruction. fatal()s on a memoize=false engine, a
-     * cache-capped engine (entries evict, so there is nothing stable
-     * to point into) or a truncated spec — use run() there.
-     */
-    const SimStats &statsFor(const RunSpec &spec);
-
-    /**
      * Σ C_i of the speedup/job-queue methodology: the job list run
      * sequentially (once each) on the reference machine derived from
      * @p params. Parallelized over the pool and cached per program.
@@ -328,8 +318,8 @@ class ExperimentEngine
      * Drop every completed memory-cache entry (result, group-metric
      * and trace-stat caches alike); in-flight runs are unaffected and
      * the backend keeps its copies. References previously returned by
-     * statsFor()/programStats() are invalidated. For long-lived
-     * daemons between batches.
+     * programStats() are invalidated. For long-lived daemons between
+     * batches.
      */
     void clear();
 

@@ -167,6 +167,13 @@ suiteGroupingSweep(double scale)
 }
 
 const std::vector<int> &
+figure4Latencies()
+{
+    static const std::vector<int> lats = {1, 20, 70, 100};
+    return lats;
+}
+
+const std::vector<int> &
 sweepLatencies()
 {
     static const std::vector<int> lats = {1, 20, 40, 50, 60, 80, 100};

@@ -70,6 +70,9 @@ class SweepBuilder;
  */
 SweepBuilder suiteGroupingSweep(double scale = workloadDefaultScale);
 
+/** Memory latencies used in Figures 4 and 5: 1, 20, 70, 100. */
+const std::vector<int> &figure4Latencies();
+
 /** Memory latencies swept in Figures 10-12. */
 const std::vector<int> &sweepLatencies();
 

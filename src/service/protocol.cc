@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include <netdb.h>
 #include <netinet/in.h>
@@ -448,22 +449,30 @@ sweepRequestToJson(const SweepRequest &request)
 SweepRequest
 sweepRequestFromJson(const Json &request)
 {
+    // asU64() rejects fractions and negatives; the range check
+    // rejects what an int cannot hold.
+    const auto sweepInt = [](const Json &value, const char *field) {
+        const uint64_t v = value.asU64();
+        if (v > static_cast<uint64_t>(std::numeric_limits<int>::max()))
+            fatal("sweep %s %llu is out of range", field,
+                  static_cast<unsigned long long>(v));
+        return static_cast<int>(v);
+    };
     SweepRequest out;
     out.family = request.getString("family");
     if (out.family.empty())
         fatal("sweep request names no family");
     out.scale = request.getNumber("scale", workloadDefaultScale);
     out.program = request.getString("program");
-    out.contexts =
-        static_cast<int>(request.getNumber("contexts", 0));
+    if (request.has("contexts"))
+        out.contexts = sweepInt(request.get("contexts"), "contexts");
     if (request.has("jobs")) {
         for (const Json &job : request.get("jobs").asArray())
             out.jobs.push_back(job.asString());
     }
     if (request.has("latencies")) {
         for (const Json &lat : request.get("latencies").asArray())
-            out.latencies.push_back(
-                static_cast<int>(lat.asNumber()));
+            out.latencies.push_back(sweepInt(lat, "latency"));
     }
     return out;
 }

@@ -15,7 +15,6 @@
 
 #include "src/api/engine.hh"
 #include "src/api/sweep.hh"
-#include "src/driver/experiments.hh"
 #include "src/workload/suite.hh"
 
 namespace mtv
@@ -171,11 +170,13 @@ TEST(RunSpec, ReferenceStripsMultithreading)
 {
     MachineParams p = MachineParams::fujitsuDualScalar();
     p.memLatency = 70;
+    p.readXbar = 3;
     const MachineParams ref = referenceMachineOf(p);
     EXPECT_EQ(ref.contexts, 1);
     EXPECT_EQ(ref.decodeWidth, 1);
     EXPECT_FALSE(ref.dualScalar);
     EXPECT_EQ(ref.memLatency, 70);  // non-MT knobs preserved
+    EXPECT_EQ(ref.readXbar, 3);
 }
 
 // ---------------------------------------------------------------------
@@ -194,11 +195,6 @@ TEST(Engine, CacheHitReturnsIdenticalStats)
     EXPECT_TRUE(second.cached);
     expectSameStats(first.stats, second.stats);
     EXPECT_GE(engine.cacheHits(), 1u);
-
-    // statsFor returns the same cached object both times.
-    const SimStats &a = engine.statsFor(spec);
-    const SimStats &b = engine.statsFor(spec);
-    EXPECT_EQ(&a, &b);
 }
 
 TEST(Engine, CacheKeyedByMachine)
@@ -206,10 +202,13 @@ TEST(Engine, CacheKeyedByMachine)
     ExperimentEngine engine(EngineOptions{1});
     MachineParams p70 = MachineParams::reference();
     p70.memLatency = 70;
-    const SimStats &fast = engine.statsFor(
-        RunSpec::single("trfd", MachineParams::reference(), testScale));
-    const SimStats &slow =
-        engine.statsFor(RunSpec::single("trfd", p70, testScale));
+    const SimStats fast =
+        engine
+            .run(RunSpec::single("trfd", MachineParams::reference(),
+                                 testScale))
+            .stats;
+    const SimStats slow =
+        engine.run(RunSpec::single("trfd", p70, testScale)).stats;
     EXPECT_LT(fast.cycles, slow.cycles);
     EXPECT_EQ(engine.cacheSize(), 2u);
 }
@@ -319,23 +318,6 @@ TEST(Engine, BatchDeterministicAcrossWorkerCounts)
     }
 }
 
-TEST(Engine, MatchesDriverAdapter)
-{
-    // The Runner adapter and the engine must agree exactly.
-    Runner runner(testScale, 1);
-    ExperimentEngine engine(EngineOptions{1});
-
-    MachineParams mth2 = MachineParams::multithreaded(2);
-    const GroupResult viaRunner =
-        runner.runGroup({"tomcatv", "swm256"}, mth2);
-    const RunResult viaEngine = engine.run(
-        RunSpec::group({"tomcatv", "swm256"}, mth2, testScale));
-    expectSameStats(viaRunner.mth, viaEngine.stats);
-    EXPECT_DOUBLE_EQ(viaRunner.speedup, viaEngine.speedup);
-    EXPECT_DOUBLE_EQ(viaRunner.mthOccupation, viaEngine.mthOccupation);
-    EXPECT_DOUBLE_EQ(viaRunner.refVopc, viaEngine.refVopc);
-}
-
 TEST(Engine, SequentialReferenceCyclesIsSumOfRuns)
 {
     ExperimentEngine engine(EngineOptions{2});
@@ -344,8 +326,8 @@ TEST(Engine, SequentialReferenceCyclesIsSumOfRuns)
     uint64_t expected = 0;
     for (const auto &job : jobs)
         expected +=
-            engine.statsFor(RunSpec::reference(job, ref, testScale))
-                .cycles;
+            engine.run(RunSpec::reference(job, ref, testScale))
+                .stats.cycles;
     EXPECT_EQ(engine.sequentialReferenceCycles(jobs, ref, testScale),
               expected);
 }
@@ -368,24 +350,6 @@ TEST(Sweep, GroupingSliceShapes)
     // Every spec's thread 0 is the measured program.
     for (const auto &spec : sweep.specs())
         EXPECT_EQ(spec.programs[0], "swm256");
-}
-
-TEST(Sweep, AverageOfMatchesAveragesFor)
-{
-    Runner runner(testScale, 2);
-    const MachineParams p = MachineParams::multithreaded(2);
-    const ProgramAverages viaDriver =
-        averagesFor(runner, "trfd", 2, p);
-
-    SweepBuilder sweep(testScale);
-    sweep.addGroupings("trfd", 2, p);
-    const auto results = runner.engine().runAll(sweep.specs());
-    const GroupAverages viaSweep =
-        averageOf(sweep.slices().front(), results);
-
-    EXPECT_EQ(viaDriver.runs, viaSweep.runs);
-    EXPECT_DOUBLE_EQ(viaDriver.speedup, viaSweep.speedup);
-    EXPECT_DOUBLE_EQ(viaDriver.mthVopc, viaSweep.mthVopc);
 }
 
 TEST(Sweep, LatencySweepExpansion)
@@ -529,15 +493,14 @@ TEST(Engine, ClearDropsEntriesButNotDeterminism)
     expectSameStats(after.stats, before.stats);
 }
 
-TEST(EngineDeath, StatsForRejectsCappedEngine)
+TEST(EngineDeath, ProgramStatsRejectsCappedEngine)
 {
     EngineOptions options;
     options.maxCacheEntries = 8;
     EXPECT_EXIT(
         {
             ExperimentEngine engine(options);
-            engine.statsFor(RunSpec::single(
-                "trfd", MachineParams::reference(), testScale));
+            engine.programStats("trfd", testScale);
         },
         testing::ExitedWithCode(1), "unbounded");
 }

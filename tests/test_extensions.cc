@@ -8,10 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/api/run_spec.hh"
+#include "src/api/engine.hh"
 #include "src/common/logging.hh"
 #include "src/core/sim.hh"
-#include "src/driver/runner.hh"
 #include "src/trace/source.hh"
 
 namespace mtv
@@ -117,28 +116,31 @@ TEST(MultiPort, ThirdLoadStillWaits)
 
 TEST(MultiPort, CrayMachineNeverSlowerThanConvex)
 {
-    Runner runner(2e-5);
+    ExperimentEngine engine(EngineOptions{1});
     const std::vector<std::string> jobs = {"flo52", "tomcatv", "trfd",
                                            "bdna"};
     for (int c : {1, 2, 4}) {
         MachineParams convex = MachineParams::multithreaded(c);
         MachineParams cray = MachineParams::crayStyle(c);
         const uint64_t tConvex =
-            runner.runJobQueue(jobs, convex).cycles;
-        const uint64_t tCray = runner.runJobQueue(jobs, cray).cycles;
+            engine.run(RunSpec::jobQueue(jobs, convex, 2e-5)).stats.cycles;
+        const uint64_t tCray =
+            engine.run(RunSpec::jobQueue(jobs, cray, 2e-5)).stats.cycles;
         EXPECT_LE(tCray, tConvex) << c << " contexts";
     }
 }
 
 TEST(MultiPort, WorkInvariantOnCray)
 {
-    Runner runner(2e-5);
+    ExperimentEngine engine(EngineOptions{1});
     const std::vector<std::string> jobs = {"flo52", "trfd"};
     TraceStats expected;
     for (const auto &name : jobs)
-        expected += runner.programStats(name);
+        expected += engine.programStats(name, 2e-5);
     const SimStats s =
-        runner.runJobQueue(jobs, MachineParams::crayStyle(2));
+        engine.run(RunSpec::jobQueue(jobs, MachineParams::crayStyle(2),
+                                     2e-5))
+            .stats;
     EXPECT_EQ(s.dispatches, expected.totalInstructions());
     EXPECT_EQ(s.memRequests, expected.memoryRequests);
 }
@@ -195,15 +197,16 @@ TEST(Renaming, TrueDependencesStillBlock)
 
 TEST(Renaming, NeverSlowerOnRealWorkloads)
 {
-    Runner runner(2e-5);
+    ExperimentEngine engine(EngineOptions{1});
     const std::vector<std::string> jobs = {"flo52", "tomcatv", "trfd",
                                            "dyfesm"};
     for (int c : {1, 2, 3}) {
         MachineParams base = MachineParams::multithreaded(c);
         MachineParams ren = base;
         ren.renaming = true;
-        EXPECT_LE(runner.runJobQueue(jobs, ren).cycles,
-                  runner.runJobQueue(jobs, base).cycles)
+        EXPECT_LE(
+            engine.run(RunSpec::jobQueue(jobs, ren, 2e-5)).stats.cycles,
+            engine.run(RunSpec::jobQueue(jobs, base, 2e-5)).stats.cycles)
             << c << " contexts";
     }
 }
@@ -309,16 +312,19 @@ TEST(Decoupled, HelpsBaselineOnRealWorkloads)
     // The HPCA-2'96 result: decoupling reduces baseline time even at
     // realistic latencies — but (the paper's point) it cannot saturate
     // the memory port the way multithreading does.
-    Runner runner(2e-5);
+    ExperimentEngine engine(EngineOptions{1});
     const std::vector<std::string> jobs = {"flo52", "tomcatv", "trfd",
                                            "bdna"};
     MachineParams base = MachineParams::reference();
     MachineParams dva = MachineParams::decoupledVector(4);
     MachineParams mth = MachineParams::multithreaded(3);
 
-    const SimStats sBase = runner.runJobQueue(jobs, base);
-    const SimStats sDva = runner.runJobQueue(jobs, dva);
-    const SimStats sMth = runner.runJobQueue(jobs, mth);
+    const SimStats sBase =
+        engine.run(RunSpec::jobQueue(jobs, base, 2e-5)).stats;
+    const SimStats sDva =
+        engine.run(RunSpec::jobQueue(jobs, dva, 2e-5)).stats;
+    const SimStats sMth =
+        engine.run(RunSpec::jobQueue(jobs, mth, 2e-5)).stats;
 
     EXPECT_LT(sDva.cycles, sBase.cycles);
     EXPECT_GT(sDva.decoupledSlips, 0u);
@@ -327,25 +333,28 @@ TEST(Decoupled, HelpsBaselineOnRealWorkloads)
 
 TEST(Decoupled, ComposesWithMultithreading)
 {
-    Runner runner(2e-5);
+    ExperimentEngine engine(EngineOptions{1});
     const std::vector<std::string> jobs = {"flo52", "tomcatv", "trfd",
                                            "bdna"};
     MachineParams mth = MachineParams::multithreaded(2);
     MachineParams both = mth;
     both.decoupleDepth = 4;
-    EXPECT_LE(runner.runJobQueue(jobs, both).cycles,
-              runner.runJobQueue(jobs, mth).cycles);
+    EXPECT_LE(engine.run(RunSpec::jobQueue(jobs, both, 2e-5)).stats.cycles,
+              engine.run(RunSpec::jobQueue(jobs, mth, 2e-5)).stats.cycles);
 }
 
 TEST(Decoupled, WorkInvariant)
 {
-    Runner runner(2e-5);
+    ExperimentEngine engine(EngineOptions{1});
     const std::vector<std::string> jobs = {"flo52", "trfd"};
     TraceStats expected;
     for (const auto &name : jobs)
-        expected += runner.programStats(name);
+        expected += engine.programStats(name, 2e-5);
     const SimStats s =
-        runner.runJobQueue(jobs, MachineParams::decoupledVector(8));
+        engine
+            .run(RunSpec::jobQueue(jobs, MachineParams::decoupledVector(8),
+                                   2e-5))
+            .stats;
     EXPECT_EQ(s.dispatches, expected.totalInstructions());
     EXPECT_EQ(s.memRequests, expected.memoryRequests);
 }
@@ -564,7 +573,7 @@ TEST(BoundedRenaming, DepthFourMatchesInfiniteOnRealWorkloads)
     // The generator's 8-register bodies never hold more than four
     // renames at once, so a 4-deep pool reproduces the infinite
     // pool's cycle counts exactly on the suite.
-    Runner runner(2e-5);
+    ExperimentEngine engine(EngineOptions{1});
     const std::vector<std::string> jobs = {"flo52", "tomcatv", "trfd",
                                            "dyfesm"};
     for (int c : {1, 2}) {
@@ -572,8 +581,9 @@ TEST(BoundedRenaming, DepthFourMatchesInfiniteOnRealWorkloads)
         bounded.renameDepth = 4;
         MachineParams inf = MachineParams::multithreaded(c);
         inf.renaming = true;
-        EXPECT_EQ(runner.runJobQueue(jobs, bounded).cycles,
-                  runner.runJobQueue(jobs, inf).cycles)
+        EXPECT_EQ(
+            engine.run(RunSpec::jobQueue(jobs, bounded, 2e-5)).stats.cycles,
+            engine.run(RunSpec::jobQueue(jobs, inf, 2e-5)).stats.cycles)
             << c << " contexts";
     }
 }

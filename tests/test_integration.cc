@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/driver/experiments.hh"
-#include "src/driver/runner.hh"
+#include "src/api/engine.hh"
 #include "src/trace/trace_file.hh"
+#include "src/workload/suite.hh"
 
 #include <filesystem>
 
@@ -24,11 +24,11 @@ TEST(Integration, MultithreadingSpeedsUpEveryProgram)
 {
     // Mini Figure 6: every program must see speedup > 1 with 2
     // contexts at the default 50-cycle latency.
-    Runner runner(testScale);
+    ExperimentEngine engine(EngineOptions{1});
     for (const auto &spec : benchmarkSuite()) {
-        const GroupResult r =
-            runner.runGroup({spec.name, "hydro2d"},
-                            MachineParams::multithreaded(2));
+        const RunResult r = engine.run(
+            RunSpec::group({spec.name, "hydro2d"},
+                           MachineParams::multithreaded(2), testScale));
         EXPECT_GT(r.speedup, 1.0) << spec.name;
         EXPECT_LT(r.speedup, 2.0) << spec.name;
     }
@@ -38,12 +38,13 @@ TEST(Integration, OccupationRisesWithContexts)
 {
     // Mini Figure 7: memory-port occupation grows with context count
     // and beats the sequential reference.
-    Runner runner(testScale);
+    ExperimentEngine engine(EngineOptions{1});
     const auto &jobs = jobQueueOrder();
     double prev = 0.0;
     for (int c = 2; c <= 4; ++c) {
         MachineParams p = MachineParams::multithreaded(c);
-        const SimStats s = runner.runJobQueue(jobs, p);
+        const SimStats s =
+            engine.run(RunSpec::jobQueue(jobs, p, testScale)).stats;
         const double occ = s.memPortOccupation();
         EXPECT_GT(occ, prev * 0.98) << c << " contexts";
         prev = occ;
@@ -51,16 +52,18 @@ TEST(Integration, OccupationRisesWithContexts)
     // 3 contexts should already be near saturation (paper: ~90%).
     MachineParams p3 = MachineParams::multithreaded(3);
     const double occ3 =
-        runner.runJobQueue(jobs, p3).memPortOccupation();
+        engine.run(RunSpec::jobQueue(jobs, p3, testScale))
+            .stats.memPortOccupation();
     EXPECT_GT(occ3, 0.75);
 }
 
 TEST(Integration, VopcImprovesWithMultithreading)
 {
     // Mini Figure 8.
-    Runner runner(testScale);
-    const GroupResult r = runner.runGroup(
-        {"swm256", "arc2d", "flo52"}, MachineParams::multithreaded(3));
+    ExperimentEngine engine(EngineOptions{1});
+    const RunResult r = engine.run(
+        RunSpec::group({"swm256", "arc2d", "flo52"},
+                       MachineParams::multithreaded(3), testScale));
     EXPECT_GT(r.mthVopc, r.refVopc);
     EXPECT_LE(r.mthVopc, 2.0);
 }
@@ -69,7 +72,7 @@ TEST(Integration, MultithreadedMachineToleratesLatency)
 {
     // Mini Figure 10: the 2-context machine degrades far less from
     // latency 1 to latency 100 than the baseline does.
-    Runner runner(testScale);
+    ExperimentEngine engine(EngineOptions{1});
     const auto &jobs = jobQueueOrder();
 
     auto timeAt = [&](int contexts, int lat) {
@@ -77,8 +80,9 @@ TEST(Integration, MultithreadedMachineToleratesLatency)
         p.memLatency = lat;
         if (contexts == 1)
             return static_cast<double>(
-                runner.sequentialReferenceTime(jobs, p));
-        return static_cast<double>(runner.runJobQueue(jobs, p).cycles);
+                engine.sequentialReferenceCycles(jobs, p, testScale));
+        return static_cast<double>(
+            engine.run(RunSpec::jobQueue(jobs, p, testScale)).stats.cycles);
     };
 
     const double baseDegradation = timeAt(1, 100) / timeAt(1, 1);
@@ -95,7 +99,7 @@ TEST(Integration, FujitsuStyleBeatsSharedDecoderAtLowLatency)
 {
     // Mini Figure 12: two scalar units help most when memory is fast,
     // and the advantage shrinks as latency grows.
-    Runner runner(testScale);
+    ExperimentEngine engine(EngineOptions{1});
     const auto &jobs = jobQueueOrder();
 
     auto ratioAt = [&](int lat) {
@@ -103,10 +107,10 @@ TEST(Integration, FujitsuStyleBeatsSharedDecoderAtLowLatency)
         mth.memLatency = lat;
         MachineParams fuj = MachineParams::fujitsuDualScalar();
         fuj.memLatency = lat;
-        const double mthT =
-            static_cast<double>(runner.runJobQueue(jobs, mth).cycles);
-        const double fujT =
-            static_cast<double>(runner.runJobQueue(jobs, fuj).cycles);
+        const double mthT = static_cast<double>(
+            engine.run(RunSpec::jobQueue(jobs, mth, testScale)).stats.cycles);
+        const double fujT = static_cast<double>(
+            engine.run(RunSpec::jobQueue(jobs, fuj, testScale)).stats.cycles);
         return mthT / fujT;  // >1 means Fujitsu wins
     };
 
@@ -120,8 +124,7 @@ TEST(Integration, TraceReplayIsBitIdenticalToLiveGeneration)
 {
     // The simulator must not be able to tell a recorded trace from
     // the live generator (the Dixie property).
-    Runner runner(testScale);
-    auto live = runner.instantiate("bdna");
+    auto live = makeProgram("bdna", testScale);
 
     const std::string path =
         (std::filesystem::temp_directory_path() / "bdna_test.mtv")
@@ -146,22 +149,22 @@ TEST(Integration, LoadChainingAblationHelpsBaselineMost)
     // Design-choice ablation: allowing load->FU chaining (which the
     // real machine lacked) must speed up the baseline; multithreading
     // already hides that latency, so its gain is smaller.
-    Runner runner(testScale);
+    ExperimentEngine engine(EngineOptions{1});
     const std::vector<std::string> jobs = {"flo52", "tomcatv", "trfd"};
 
     MachineParams base = MachineParams::reference();
-    const double refNo =
-        static_cast<double>(runner.sequentialReferenceTime(jobs, base));
+    const double refNo = static_cast<double>(
+        engine.sequentialReferenceCycles(jobs, base, testScale));
     base.loadChaining = true;
-    const double refYes =
-        static_cast<double>(runner.sequentialReferenceTime(jobs, base));
+    const double refYes = static_cast<double>(
+        engine.sequentialReferenceCycles(jobs, base, testScale));
 
     MachineParams mth = MachineParams::multithreaded(3);
-    const double mthNo =
-        static_cast<double>(runner.runJobQueue(jobs, mth).cycles);
+    const double mthNo = static_cast<double>(
+        engine.run(RunSpec::jobQueue(jobs, mth, testScale)).stats.cycles);
     mth.loadChaining = true;
-    const double mthYes =
-        static_cast<double>(runner.runJobQueue(jobs, mth).cycles);
+    const double mthYes = static_cast<double>(
+        engine.run(RunSpec::jobQueue(jobs, mth, testScale)).stats.cycles);
 
     EXPECT_LT(refYes, refNo);
     const double refGain = refNo / refYes;
@@ -173,9 +176,10 @@ TEST(Integration, JobQueueProfileCoversAllTenPrograms)
 {
     // Mini Figure 9: all ten programs appear exactly once in the
     // profile and intervals nest inside the run.
-    Runner runner(testScale);
+    ExperimentEngine engine(EngineOptions{1});
     MachineParams p = MachineParams::multithreaded(2);
-    const SimStats s = runner.runJobQueue(jobQueueOrder(), p);
+    const SimStats s =
+        engine.run(RunSpec::jobQueue(jobQueueOrder(), p, testScale)).stats;
     ASSERT_EQ(s.jobs.size(), 10u);
     for (const auto &job : s.jobs) {
         EXPECT_LE(job.startCycle, job.endCycle);

@@ -9,7 +9,7 @@
 
 #include <tuple>
 
-#include "src/driver/runner.hh"
+#include "src/api/engine.hh"
 #include "src/trace/analyzer.hh"
 
 namespace mtv
@@ -42,12 +42,19 @@ class MachineSweep
         p.memLatency = latency();
         return p;
     }
+
+    /** The sweep jobs as one job queue on params(). */
+    RunSpec
+    jobQueue() const
+    {
+        return RunSpec::jobQueue(sweepJobs(), params(), testScale);
+    }
 };
 
 TEST_P(MachineSweep, MetricsStayInTheoreticalRanges)
 {
-    Runner runner(testScale);
-    const SimStats s = runner.runJobQueue(sweepJobs(), params());
+    ExperimentEngine engine(EngineOptions{1});
+    const SimStats s = engine.run(jobQueue()).stats;
     EXPECT_GT(s.cycles, 0u);
     // One address port: occupation in [0, 1].
     EXPECT_GE(s.memPortOccupation(), 0.0);
@@ -61,8 +68,8 @@ TEST_P(MachineSweep, MetricsStayInTheoreticalRanges)
 
 TEST_P(MachineSweep, StateHistogramIsAPartitionOfTime)
 {
-    Runner runner(testScale);
-    const SimStats s = runner.runJobQueue(sweepJobs(), params());
+    ExperimentEngine engine(EngineOptions{1});
+    const SimStats s = engine.run(jobQueue()).stats;
     uint64_t sum = 0;
     for (const auto v : s.stateHist)
         sum += v;
@@ -88,12 +95,12 @@ TEST_P(MachineSweep, WorkIsInvariantAcrossMachines)
 {
     // The same jobs produce the same instruction/request/element-op
     // totals no matter the machine (only the timing changes).
-    Runner runner(testScale);
+    ExperimentEngine engine(EngineOptions{1});
     TraceStats expected;
     for (const auto &name : sweepJobs())
-        expected += runner.programStats(name);
+        expected += engine.programStats(name, testScale);
 
-    const SimStats s = runner.runJobQueue(sweepJobs(), params());
+    const SimStats s = engine.run(jobQueue()).stats;
     EXPECT_EQ(s.dispatches, expected.totalInstructions());
     EXPECT_EQ(s.memRequests, expected.memoryRequests);
     EXPECT_EQ(s.vecOpsFu1 + s.vecOpsFu2,
@@ -104,26 +111,26 @@ TEST_P(MachineSweep, WorkIsInvariantAcrossMachines)
 
 TEST_P(MachineSweep, NeverBelowIdealBound)
 {
-    Runner runner(testScale);
-    const SimStats s = runner.runJobQueue(sweepJobs(), params());
-    const IdealBound ideal = runner.idealTime(sweepJobs());
+    ExperimentEngine engine(EngineOptions{1});
+    const SimStats s = engine.run(jobQueue()).stats;
+    const IdealBound ideal = engine.idealTime(sweepJobs(), testScale);
     EXPECT_GE(s.cycles, ideal.bound);
 }
 
 TEST_P(MachineSweep, MultithreadingDoesNotLoseToSequential)
 {
-    Runner runner(testScale);
-    const SimStats s = runner.runJobQueue(sweepJobs(), params());
-    const uint64_t sequential =
-        runner.sequentialReferenceTime(sweepJobs(), params());
+    ExperimentEngine engine(EngineOptions{1});
+    const SimStats s = engine.run(jobQueue()).stats;
+    const uint64_t sequential = engine.sequentialReferenceCycles(
+        sweepJobs(), params(), testScale);
     // Interleaving can add small tail effects; allow 2%.
     EXPECT_LE(static_cast<double>(s.cycles), 1.02 * sequential);
 }
 
 TEST_P(MachineSweep, ThreadAccountingIsConsistent)
 {
-    Runner runner(testScale);
-    const SimStats s = runner.runJobQueue(sweepJobs(), params());
+    ExperimentEngine engine(EngineOptions{1});
+    const SimStats s = engine.run(jobQueue()).stats;
     uint64_t perThread = 0;
     for (const auto &t : s.threads) {
         perThread += t.instructions;
@@ -149,13 +156,14 @@ class PolicySweep : public testing::TestWithParam<SchedPolicy>
 
 TEST_P(PolicySweep, AllPoliciesPreserveWorkAndRanges)
 {
-    Runner runner(testScale);
+    ExperimentEngine engine(EngineOptions{1});
     MachineParams p = MachineParams::multithreaded(3);
     p.sched = GetParam();
-    const SimStats s = runner.runJobQueue(sweepJobs(), p);
+    const SimStats s =
+        engine.run(RunSpec::jobQueue(sweepJobs(), p, testScale)).stats;
     TraceStats expected;
     for (const auto &name : sweepJobs())
-        expected += runner.programStats(name);
+        expected += engine.programStats(name, testScale);
     EXPECT_EQ(s.dispatches, expected.totalInstructions());
     EXPECT_LE(s.memPortOccupation(), 1.0);
 }
@@ -181,12 +189,16 @@ TEST_P(XbarSweep, CrossbarCostHasBoundedImpact)
     // Paper section 8: +1 cycle on both crossbars costs well under 1%
     // at default latency. Allow 3% at test scale (short runs amplify
     // tail effects).
-    Runner runner(testScale);
+    ExperimentEngine engine(EngineOptions{1});
     MachineParams p = MachineParams::multithreaded(GetParam());
-    const uint64_t base = runner.runJobQueue(sweepJobs(), p).cycles;
+    const uint64_t base =
+        engine.run(RunSpec::jobQueue(sweepJobs(), p, testScale))
+            .stats.cycles;
     p.readXbar = 3;
     p.writeXbar = 3;
-    const uint64_t slow = runner.runJobQueue(sweepJobs(), p).cycles;
+    const uint64_t slow =
+        engine.run(RunSpec::jobQueue(sweepJobs(), p, testScale))
+            .stats.cycles;
     EXPECT_LE(static_cast<double>(slow), 1.03 * base);
 }
 
@@ -243,13 +255,14 @@ class ExtensionSweep : public testing::TestWithParam<int>
 
 TEST_P(ExtensionSweep, InvariantsHoldOnExtensionMachines)
 {
-    Runner runner(testScale);
+    ExperimentEngine engine(EngineOptions{1});
     const MachineParams p = params();
-    const SimStats s = runner.runJobQueue(sweepJobs(), p);
+    const SimStats s =
+        engine.run(RunSpec::jobQueue(sweepJobs(), p, testScale)).stats;
 
     TraceStats expected;
     for (const auto &name : sweepJobs())
-        expected += runner.programStats(name);
+        expected += engine.programStats(name, testScale);
     EXPECT_EQ(s.dispatches, expected.totalInstructions());
     EXPECT_EQ(s.memRequests, expected.memoryRequests);
     EXPECT_EQ(s.vecOpsFu1 + s.vecOpsFu2,
@@ -267,7 +280,7 @@ TEST_P(ExtensionSweep, InvariantsHoldOnExtensionMachines)
     // Extension machines add capability, never remove it: no run may
     // be slower than the plain sequential reference (small tail
     // margin allowed).
-    MachineParams seq = Runner::referenceOf(p);
+    MachineParams seq = referenceMachineOf(p);
     seq.renaming = false;
     seq.decoupleDepth = 0;
     seq.loadPorts = 1;
@@ -277,15 +290,17 @@ TEST_P(ExtensionSweep, InvariantsHoldOnExtensionMachines)
     if (p.bankedMemory)
         seq.bankedMemory = true;
     const uint64_t sequential =
-        runner.sequentialReferenceTime(sweepJobs(), seq);
+        engine.sequentialReferenceCycles(sweepJobs(), seq, testScale);
     EXPECT_LE(static_cast<double>(s.cycles), 1.02 * sequential);
 }
 
 TEST_P(ExtensionSweep, DeterministicOnExtensionMachines)
 {
-    Runner runner(testScale);
-    const SimStats a = runner.runJobQueue(sweepJobs(), params());
-    const SimStats b = runner.runJobQueue(sweepJobs(), params());
+    ExperimentEngine engine(EngineOptions{1});
+    const RunSpec spec =
+        RunSpec::jobQueue(sweepJobs(), params(), testScale);
+    const SimStats a = engine.run(spec).stats;
+    const SimStats b = engine.run(spec).stats;
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.stateHist, b.stateHist);
     EXPECT_EQ(a.decoupledSlips, b.decoupledSlips);

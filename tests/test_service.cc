@@ -17,6 +17,7 @@
 
 #include "src/api/engine.hh"
 #include "src/common/logging.hh"
+#include "src/common/strutil.hh"
 #include "src/service/json.hh"
 #include "src/service/server.hh"
 #include "src/store/stats_codec.hh"
@@ -641,6 +642,24 @@ TEST_F(ServiceFixture, SweepErrorsAnswerWithoutKillingDaemon)
     for (const Json &family : families)
         hasGroupings = hasGroupings || family.asString() == "groupings";
     EXPECT_TRUE(hasGroupings);
+
+    // Integer fields are checked, not truncated: a fraction, a
+    // negative number or one beyond int answers an error for its id.
+    const char *badInts[] = {"\"contexts\":2.7", "\"contexts\":1e12",
+                             "\"latencies\":[50.5]",
+                             "\"latencies\":[1e12]", "\"latencies\":[-5]"};
+    uint64_t id = 10;
+    for (const char *field : badInts) {
+        const std::string line = format(
+            "{\"op\":\"sweep\",\"id\":%llu,\"family\":\"latency\","
+            "\"scale\":2e-5,%s}",
+            static_cast<unsigned long long>(id), field);
+        ASSERT_TRUE(channel.writeLine(line));
+        const Json answer = readAnswer(channel);
+        EXPECT_TRUE(answer.has("error")) << line;
+        EXPECT_EQ(answer.get("id").asU64(), id) << line;
+        ++id;
+    }
 
     // The daemon survived and still serves this connection.
     Json ping = Json::object();
