@@ -1,6 +1,7 @@
 #include "src/api/engine.hh"
 
 #include <algorithm>
+#include <chrono>
 
 #include "src/common/logging.hh"
 #include "src/common/strutil.hh"
@@ -243,17 +244,30 @@ ExperimentEngine::submit(const RunSpec &spec, SubmitHook hook,
     // Completed-cache fast path: a memoized hit has no work left to
     // schedule, so settle the future on the calling thread and skip
     // the lane round-trip (queue mutex, worker wakeup, packaged
-    // task) entirely — the hot result path of a warm sweep. Group
-    // specs still dispatch: their reference terms may simulate.
-    // A hit for an already-cancelled token also dispatches, so the
-    // future fails with CancelledError exactly as before.
+    // task) entirely — the hot result path of a warm sweep. A group
+    // spec qualifies only once its section 4.1 metrics have settled;
+    // until then its reference terms may still simulate, so it
+    // dispatches. A hit for an already-cancelled token also
+    // dispatches, so the future fails with CancelledError.
     if (memoize_ && spec.maxInstructions == 0 &&
-        spec.mode != SpecMode::Group &&
         !(token && token->cancelled())) {
         std::string key = spec.canonical();
+        GroupMetrics group;
+        bool settled = true;
+        if (spec.mode == SpecMode::Group) {
+            // The owner erases a failed entry before failing its
+            // promise, so a ready future in the map holds a value.
+            std::lock_guard<std::mutex> lock(groupMutex_);
+            auto it = groupCache_.find(key);
+            settled = it != groupCache_.end() &&
+                      it->second.wait_for(std::chrono::seconds(0)) ==
+                          std::future_status::ready;
+            if (settled)
+                group = it->second.get();
+        }
         CachedStats stats;
         std::shared_ptr<const std::string> blob;
-        {
+        if (settled) {
             std::lock_guard<std::mutex> lock(cacheMutex_);
             auto it = cache_.find(key);
             if (it != cache_.end()) {
@@ -285,6 +299,7 @@ ExperimentEngine::submit(const RunSpec &spec, SubmitHook hook,
             result.cached = true;
             result.blob = std::move(blob);
             result.specCanonical = std::move(key);
+            group.fill(result);
             obsPointsCompleted_->inc();
             if (hook)
                 hook(result);
@@ -544,17 +559,20 @@ ExperimentEngine::execute(const RunSpec &spec,
     result.stats = *cachedStats(spec, &origin, &result.blob);
     result.cached = origin == Origin::Cache;
     result.fromStore = origin == Origin::Store;
-    if (spec.mode == SpecMode::Group) {
-        const GroupMetrics m =
-            groupMetrics(spec, result.stats, token);
-        result.speedup = m.speedup;
-        result.mthOccupation = m.mthOccupation;
-        result.refOccupation = m.refOccupation;
-        result.mthVopc = m.mthVopc;
-        result.refVopc = m.refVopc;
-    }
+    if (spec.mode == SpecMode::Group)
+        groupMetrics(spec, result.stats, token).fill(result);
     obsPointsCompleted_->inc();
     return result;
+}
+
+void
+ExperimentEngine::GroupMetrics::fill(RunResult &result) const
+{
+    result.speedup = speedup;
+    result.mthOccupation = mthOccupation;
+    result.refOccupation = refOccupation;
+    result.mthVopc = mthVopc;
+    result.refVopc = refVopc;
 }
 
 ExperimentEngine::GroupMetrics

@@ -24,6 +24,13 @@
  *  - Group-mode specs embed the paper's full speedup methodology:
  *    the multithreaded run plus the C_i / F_i reference terms, all
  *    served through the cache.
+ *  - submit() settles a memoized hit on the submitting thread, with
+ *    no lane, worker wake-up or packaged task: a single spec whose
+ *    result is in the memory cache, or a group spec whose section
+ *    4.1 metrics have settled as well. Everything else takes the
+ *    worker path: a miss, group metrics still being computed, a
+ *    capped engine that flushed its group cache, a cancelled token,
+ *    a truncated spec.
  *  - By default cache entries are never evicted and references
  *    returned by programStats() stay valid for the engine's
  *    lifetime. Long-lived daemons bound the cache with
@@ -233,11 +240,12 @@ class ExperimentEngine
     /**
      * Progress hook of the streaming submit(): invoked once per
      * submitted spec, on the thread that completed it (a pool worker,
-     * or the submitting thread itself when a memo-cache hit settles
-     * inline), right before the future becomes ready. Hooks must be cheap and must
-     * not throw (an error would unwind the worker loop) — they exist
-     * so a caller juggling many in-flight batches (the mtvd sweep
-     * protocol) can count completions without blocking on futures.
+     * or the submitting thread itself when a memoized hit, single or
+     * group, settles inline), right before the future becomes ready.
+     * Hooks must be cheap and must not throw (an error would unwind
+     * the worker loop) — they exist so a caller juggling many
+     * in-flight batches (the mtvd sweep protocol) can count
+     * completions without blocking on futures.
      * When the spec itself fails, the hook is skipped and the error
      * surfaces through the future.
      */
@@ -252,7 +260,9 @@ class ExperimentEngine
      * spec, then get() the futures in submission order to consume
      * results as they finish. Safe from any thread; on a worker
      * thread the spec executes inline (a queued task waiting on
-     * queued tasks would deadlock the pool). An optional @p hook is
+     * queued tasks would deadlock the pool). A memoized hit (see the
+     * design notes) settles before submit() returns, on the calling
+     * thread, and counts one cache hit. An optional @p hook is
      * called on completion (see SubmitHook).
      *
      * @p token, when given, makes the task cancellable: a worker that
@@ -410,6 +420,9 @@ class ExperimentEngine
         double refOccupation = 0;
         double mthVopc = 0;
         double refVopc = 0;
+
+        /** Copy the five metrics into @p result's group fields. */
+        void fill(RunResult &result) const;
     };
 
     /** One scheduling lane: a FIFO of tasks plus its WRR weight. */

@@ -540,24 +540,31 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
     activeRequests_.fetch_add(1);
     obsInflightBatches_->add(1);
 
-    // Fan the whole batch out up front — identical points of other
-    // in-flight requests coalesce inside the engine — then consume
-    // the futures in submission order, writing each frame as its
-    // result lands. Every task carries the batch's cancel token and
-    // rides this connection's lane, so a cancel/reap frees the
-    // queued points and other connections are never head-of-line
-    // blocked. The progress hook feeds the daemon-wide completion
-    // counter the moment a point finishes, seq order or not.
+    // Each point is encoded the moment it settles. A point that
+    // settles inside submit() (a memoized hit) streams before the
+    // next one is submitted, so a warm batch streams from its first
+    // lookup on; the first point that does not queues the whole rest
+    // of the batch behind it, so the workers see all of a cold
+    // batch's work before the stream first waits (identical points
+    // of other in-flight requests coalesce inside the engine). Every
+    // task carries the batch's cancel token and rides this
+    // connection's lane, so a cancel/reap frees the queued points and
+    // other connections are never head-of-line blocked. The progress
+    // hook feeds the daemon-wide completion counter the moment a
+    // point finishes, seq order or not.
+    const ExperimentEngine::SubmitHook countPoint =
+        [this](const RunResult &) { completedPoints_.fetch_add(1); };
     std::vector<std::future<RunResult>> futures;
     futures.reserve(specs.size());
-    for (const RunSpec &spec : specs) {
-        futures.push_back(engine_->submit(
-            spec,
-            [this](const RunResult &) {
-                completedPoints_.fetch_add(1);
-            },
-            token, client.lane));
-    }
+    const auto submitNext = [&]() {
+        futures.push_back(engine_->submit(specs[futures.size()],
+                                          countPoint, token,
+                                          client.lane));
+    };
+    const auto settled = [&futures](size_t i) {
+        return futures[i].wait_for(std::chrono::seconds(0)) ==
+               std::future_status::ready;
+    };
 
     uint64_t simulated = 0;
     uint64_t cacheServed = 0;
@@ -568,12 +575,12 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
     size_t completed = 0;
     std::vector<RunResult> collected;
     if (compare)
-        collected.reserve(futures.size());
-    // Encoded points waiting for one coalesced write. A point is
-    // held back only while the NEXT future is already settled (a
-    // warm sweep draining the cache), so a trickling stream still
-    // flushes every point the moment it lands — same latency, far
-    // fewer write() syscalls on the hot path.
+        collected.reserve(specs.size());
+    // Encoded points waiting for one coalesced write: held frames go
+    // out before any blocking get(), after point 0 (the first-point
+    // latency) and at maxOutboxBytes. So a trickling stream still
+    // flushes every point the moment it lands, while a warm one
+    // drains the cache in few write() syscalls.
     std::string outbox;
     constexpr size_t maxOutboxBytes = 256u * 1024;
     const auto flushOutbox = [&]() {
@@ -583,7 +590,26 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
         outbox.clear();
         return ok;
     };
-    for (size_t i = 0; i < futures.size() && !aborted; ++i) {
+    for (size_t i = 0; i < specs.size(); ++i) {
+        if (i == futures.size() && !token->cancelled()) {
+            submitNext();
+            const bool queueRest = !settled(i);
+            while (queueRest && futures.size() < specs.size() &&
+                   !token->cancelled())
+                submitNext();
+        }
+        // The batch's token fired (a client's cancel op, or the reap
+        // of a vanished peer): stop at this point, even when the
+        // rest already settled, and answer with a cancelled
+        // terminator. Queued points are skipped inside the engine.
+        if (token->cancelled()) {
+            cancelled = true;
+            break;
+        }
+        if (!settled(i) && !flushOutbox()) {
+            aborted = true;  // client gone; queued work was reaped
+            break;
+        }
         RunResult result;
         try {
             result = futures[i].get();
@@ -593,10 +619,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
             aborted = true;
             break;
         } catch (const CancelledError &) {
-            // The batch's token fired (a client's cancel op, or the
-            // reap of a vanished peer): queued points are being
-            // skipped, so stop consuming and answer with a
-            // cancelled terminator.
+            // The token fired while this point was queued.
             cancelled = true;
             break;
         } catch (const SimError &e) {
@@ -643,13 +666,9 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
                           quiet ? nullptr : blob);
         obsEncodeUs_[sweep]->observe(monotonicMicros() -
                                      encodeStartUs);
-        const bool nextReady =
-            i + 1 < futures.size() &&
-            futures[i + 1].wait_for(std::chrono::seconds(0)) ==
-                std::future_status::ready;
-        if ((!nextReady || outbox.size() >= maxOutboxBytes) &&
+        if ((i == 0 || outbox.size() >= maxOutboxBytes) &&
             !flushOutbox()) {
-            aborted = true;  // client gone; queued work was reaped
+            aborted = true;
             break;
         }
         // Request→first-point latency: the moment the client could
@@ -686,7 +705,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
         done.set("id", id);
         done.set("done", true);
         done.set("cancelled", true);
-        done.set("count", static_cast<uint64_t>(futures.size()));
+        done.set("count", static_cast<uint64_t>(specs.size()));
         done.set("completed", static_cast<uint64_t>(completed));
         client.connection.write(done.dump());
     } else if (!aborted && compare) {
@@ -699,7 +718,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
             ok.set("ok", true);
             ok.set("compare", true);
             ok.set("family", compare->family);
-            ok.set("count", static_cast<uint64_t>(futures.size()));
+            ok.set("count", static_cast<uint64_t>(specs.size()));
             ok.set("baseline", compare->slices[0].label);
             ok.set("simulated", simulated);
             ok.set("cacheServed", cacheServed);
@@ -723,7 +742,7 @@ MtvService::streamBatch(ClientState &client, uint64_t streamId,
         Json done = Json::object();
         done.set("id", id);
         done.set("done", true);
-        done.set("count", static_cast<uint64_t>(futures.size()));
+        done.set("count", static_cast<uint64_t>(specs.size()));
         done.set("simulated", simulated);
         done.set("cacheServed", cacheServed);
         done.set("storeServed", storeServed);

@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstring>
 #include <future>
 #include <mutex>
+#include <thread>
 #include <unordered_map>
 
 #include "src/api/engine.hh"
@@ -728,6 +731,55 @@ TEST(Engine, CloseLaneDropsQueuedTasksAndAbandonsLateSubmits)
         EXPECT_THROW(future.get(), std::future_error);
     EXPECT_THROW(late.get(), std::future_error);
     EXPECT_EQ(engine.cacheMisses(), 1u);  // the gate spec only
+}
+
+/** The bit pattern of @p value, for exact double comparisons. */
+uint64_t
+bitsOf(double value)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
+
+TEST(Engine, SettledGroupHitResolvesOnCallingThread)
+{
+    // Declared first: it must outlive the engine, whose worker would
+    // still run the hook if the hit failed to settle inline.
+    std::thread::id hookThread;
+    ExperimentEngine engine(1);
+    const RunSpec spec = RunSpec::group(
+        {"trfd", "swm256"}, MachineParams::multithreaded(2), testScale);
+    const RunResult expected = engine.run(spec);
+
+    // With the only worker parked, a future can become ready only by
+    // settling inside submit() itself.
+    WorkerGate gate(engine);
+    const uint64_t hits = engine.cacheHits();
+    std::future<RunResult> future = engine.submit(
+        spec, [&hookThread](const RunResult &) {
+            hookThread = std::this_thread::get_id();
+        });
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(hookThread, std::this_thread::get_id());
+    const RunResult hit = future.get();
+    EXPECT_TRUE(hit.cached);
+    expectSameStats(hit.stats, expected.stats);
+    EXPECT_EQ(bitsOf(hit.speedup), bitsOf(expected.speedup));
+    EXPECT_EQ(bitsOf(hit.mthOccupation), bitsOf(expected.mthOccupation));
+    EXPECT_EQ(bitsOf(hit.refOccupation), bitsOf(expected.refOccupation));
+    EXPECT_EQ(bitsOf(hit.mthVopc), bitsOf(expected.mthVopc));
+    EXPECT_EQ(bitsOf(hit.refVopc), bitsOf(expected.refVopc));
+    EXPECT_EQ(engine.cacheHits(), hits + 1);
+
+    // The same hit for a cancelled batch still fails as cancelled.
+    auto token = std::make_shared<CancelToken>();
+    token->cancel();
+    std::future<RunResult> refused = engine.submit(spec, nullptr, token);
+    gate.release();
+    EXPECT_THROW(refused.get(), CancelledError);
+    EXPECT_EQ(engine.cacheHits(), hits + 1);
 }
 
 // ---------------------------------------------------------------------

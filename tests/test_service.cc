@@ -983,6 +983,60 @@ TEST_F(ServiceFixture, CancelOpStopsInFlightBatch)
     EXPECT_TRUE(roundTrip(canceller, ping).getBool("pong"));
 }
 
+TEST_F(ServiceFixture, CancelStopsMemoizedStream)
+{
+    // Every point of this batch is memoized, singles and groups
+    // alike, so each one settles inside submit() and no queued task
+    // is left for the engine to skip: the stream itself must stop
+    // at the cancelled token.
+    std::vector<RunSpec> mix = distinctSpecs(4, 12000);
+    mix.push_back(RunSpec::group({"trfd", "swm256"},
+                                 MachineParams::multithreaded(2),
+                                 testScale));
+    mix.push_back(RunSpec::group({"dyfesm", "trfd"},
+                                 MachineParams::multithreaded(2),
+                                 testScale));
+    size_t mixBytes = 0;
+    for (const RunResult &r : service_->engine().runAll(mix)) {
+        mixBytes += r.spec.canonical().size() +
+                    serializeSimStats(r.stats).size();
+    }
+    // Far more frame bytes than the socket buffers hold: unread, the
+    // stream blocks in write() long before its last point.
+    std::vector<RunSpec> specs;
+    for (size_t bytes = 0; bytes < (4u << 20); bytes += mixBytes)
+        specs.insert(specs.end(), mix.begin(), mix.end());
+
+    LineChannel victim = connect();
+    ASSERT_TRUE(victim.writeLine(runRequest(31, specs, false).dump()));
+    ASSERT_TRUE(readAnswer(victim).has("seq"));  // it is streaming
+
+    LineChannel canceller = connect();
+    Json cancel = Json::object();
+    cancel.set("op", "cancel");
+    cancel.set("id", 31);
+    const Json answer = roundTrip(canceller, cancel);
+    EXPECT_TRUE(answer.getBool("ok"));
+    EXPECT_EQ(answer.get("cancelled").asU64(), 1u);
+
+    // The frames already encoded drain in order, then the cancelled
+    // terminator reports exactly how many went out.
+    uint64_t frames = 1;
+    Json done;
+    for (;;) {
+        done = readAnswer(victim);
+        ASSERT_FALSE(done.has("error")) << done.getString("error");
+        if (done.getBool("done", false))
+            break;
+        ASSERT_EQ(done.get("seq").asU64(), frames);
+        ++frames;
+    }
+    EXPECT_TRUE(done.getBool("cancelled"));
+    EXPECT_EQ(done.get("count").asU64(), specs.size());
+    EXPECT_LT(done.get("completed").asU64(), specs.size());
+    EXPECT_EQ(done.get("completed").asU64(), frames);
+}
+
 TEST_F(ServiceFixture, DisconnectMidSweepFreesQueuedPoints)
 {
     // The ISSUE-5 acceptance scenario: a client vanishing mid-sweep
@@ -1518,20 +1572,29 @@ TEST(Protocol, SubmitFastPathCarriesCanonicalBlobZeroCopy)
     ExperimentEngine engine(options);
     const RunSpec spec = RunSpec::single(
         "swm256", MachineParams::reference(), testScale);
+    // A group hit whose section 4.1 metrics settled takes the same
+    // path, its five group fields included.
+    const RunSpec group = RunSpec::group(
+        {"trfd", "swm256"}, MachineParams::multithreaded(2), testScale);
 
-    const RunResult cold = engine.submit(spec).get();
-    EXPECT_FALSE(cold.cached);
+    for (const RunSpec &input : {spec, group}) {
+        const RunResult cold = engine.submit(input).get();
+        EXPECT_FALSE(cold.cached);
 
-    const RunResult warm = engine.submit(spec).get();
-    EXPECT_TRUE(warm.cached);
-    ASSERT_TRUE(warm.blob);
-    EXPECT_EQ(*warm.blob, serializeSimStats(warm.stats));
-    EXPECT_EQ(warm.specCanonical, spec.canonical());
+        const RunResult warm = engine.submit(input).get();
+        EXPECT_TRUE(warm.cached);
+        ASSERT_TRUE(warm.blob);
+        EXPECT_EQ(*warm.blob, serializeSimStats(warm.stats));
+        EXPECT_EQ(*warm.blob, serializeSimStats(cold.stats));
+        EXPECT_EQ(warm.specCanonical, input.canonical());
+        EXPECT_EQ(warm.speedup, cold.speedup);
+        EXPECT_EQ(warm.refVopc, cold.refVopc);
 
-    // Later hits share the same memoized allocation.
-    const RunResult again = engine.submit(spec).get();
-    ASSERT_TRUE(again.blob);
-    EXPECT_EQ(again.blob.get(), warm.blob.get());
+        // Later hits share the same memoized allocation.
+        const RunResult again = engine.submit(input).get();
+        ASSERT_TRUE(again.blob);
+        EXPECT_EQ(again.blob.get(), warm.blob.get());
+    }
 
     // A store hit streams its stored bytes the same way.
     const auto dir = std::filesystem::temp_directory_path() /
@@ -1598,65 +1661,94 @@ TEST_F(ServiceFixture, BinarySweepStreamsBitIdenticalFrames)
     // No hello: the points arrive as frames on every connection,
     // while the ack and done lines stay JSON.
     LineChannel channel = connect();
-    sendSweep(channel, 2, request);
 
-    uint64_t seq = 0;
-    uint64_t clientDigest = 0xcbf29ce484222325ull;
-    std::vector<std::string> blobs;
-    std::string serverDigest;
-    bool sawAck = false;
-    bool done = false;
-    while (!done) {
-        std::string message;
-        const auto kind = channel.readMessage(&message);
-        if (kind == LineChannel::MessageKind::Line) {
-            Json line;
-            std::string error;
-            ASSERT_TRUE(Json::parse(message, &line, &error))
-                << error;
-            ASSERT_FALSE(line.has("error"))
-                << line.getString("error");
-            if (line.getBool("ack", false)) {
-                EXPECT_EQ(line.get("count").asU64(),
-                          expected.size());
-                sawAck = true;
-                continue;
+    /** One pass of the sweep as the client saw it. */
+    struct Pass
+    {
+        std::vector<ResultFrame> frames;
+        std::string serverDigest;
+        uint64_t clientDigest = 0xcbf29ce484222325ull;
+        uint64_t cacheServed = 0;
+        bool sawAck = false;
+    };
+    const auto streamPass = [&](uint64_t id, Pass *pass) {
+        sendSweep(channel, id, request);
+        for (;;) {
+            std::string message;
+            const auto kind = channel.readMessage(&message);
+            if (kind == LineChannel::MessageKind::Line) {
+                Json line;
+                std::string error;
+                ASSERT_TRUE(Json::parse(message, &line, &error))
+                    << error;
+                ASSERT_FALSE(line.has("error"))
+                    << line.getString("error");
+                if (line.getBool("ack", false)) {
+                    EXPECT_EQ(line.get("count").asU64(),
+                              expected.size());
+                    pass->sawAck = true;
+                    continue;
+                }
+                ASSERT_TRUE(line.getBool("done", false)) << message;
+                pass->serverDigest = line.getString("digest");
+                pass->cacheServed = line.get("cacheServed").asU64();
+                return;
             }
-            ASSERT_TRUE(line.getBool("done", false)) << message;
-            serverDigest = line.getString("digest");
-            done = true;
-            continue;
+            ASSERT_EQ(kind, LineChannel::MessageKind::Frame);
+            ResultFrame frame;
+            std::string error;
+            ASSERT_TRUE(decodeResultFrame(message, &frame, &error))
+                << error;
+            const size_t seq = pass->frames.size();
+            ASSERT_LT(seq, expected.size());
+            EXPECT_EQ(frame.id, id);
+            EXPECT_EQ(frame.seq, seq);
+            ASSERT_TRUE(frame.hasBlob);
+            EXPECT_EQ(frame.spec, expected[seq].spec.canonical());
+            EXPECT_EQ(frame.hasGroupExtras,
+                      expected[seq].spec.mode == SpecMode::Group);
+            if (frame.hasGroupExtras) {
+                EXPECT_DOUBLE_EQ(frame.speedup, expected[seq].speedup);
+            }
+            pass->clientDigest = fnv1a64(
+                frame.blob.data(), frame.blob.size(), pass->clientDigest);
+            pass->frames.push_back(std::move(frame));
         }
-        ASSERT_EQ(kind, LineChannel::MessageKind::Frame);
-        ResultFrame frame;
-        std::string error;
-        ASSERT_TRUE(decodeResultFrame(message, &frame, &error))
-            << error;
-        ASSERT_LT(seq, expected.size());
-        EXPECT_EQ(frame.id, 2u);
-        EXPECT_EQ(frame.seq, seq);
-        ASSERT_TRUE(frame.hasBlob);
-        EXPECT_EQ(frame.spec, expected[seq].spec.canonical());
-        EXPECT_EQ(frame.hasGroupExtras,
-                  expected[seq].spec.mode == SpecMode::Group);
-        if (frame.hasGroupExtras) {
-            EXPECT_DOUBLE_EQ(frame.speedup, expected[seq].speedup);
-        }
-        clientDigest = fnv1a64(frame.blob.data(),
-                               frame.blob.size(), clientDigest);
-        blobs.push_back(frame.blob);
-        ++seq;
-    }
+    };
 
-    EXPECT_TRUE(sawAck);
-    ASSERT_EQ(blobs.size(), expected.size());
+    Pass cold;
+    streamPass(2, &cold);
+    EXPECT_TRUE(cold.sawAck);
+    ASSERT_EQ(cold.frames.size(), expected.size());
     // Frame blobs byte-identical to the in-process run, folding to
     // the daemon's digest.
-    for (size_t i = 0; i < blobs.size(); ++i) {
-        EXPECT_EQ(blobs[i], serializeSimStats(expected[i].stats))
+    for (size_t i = 0; i < cold.frames.size(); ++i) {
+        EXPECT_EQ(cold.frames[i].blob,
+                  serializeSimStats(expected[i].stats))
             << "point " << i;
     }
-    EXPECT_EQ(serverDigest, digestHex(clientDigest));
+    EXPECT_EQ(cold.serverDigest, digestHex(cold.clientDigest));
+
+    // The same sweep again, now served whole from the memory cache,
+    // must stream the same frames: spec, blob and every group field.
+    Pass warm;
+    streamPass(3, &warm);
+    EXPECT_TRUE(warm.sawAck);
+    ASSERT_EQ(warm.frames.size(), cold.frames.size());
+    EXPECT_EQ(warm.cacheServed, expected.size());
+    for (size_t i = 0; i < warm.frames.size(); ++i) {
+        const ResultFrame &a = cold.frames[i];
+        const ResultFrame &b = warm.frames[i];
+        EXPECT_EQ(b.spec, a.spec) << "point " << i;
+        EXPECT_EQ(b.blob, a.blob) << "point " << i;
+        EXPECT_EQ(b.speedup, a.speedup) << "point " << i;
+        EXPECT_EQ(b.mthOccupation, a.mthOccupation) << "point " << i;
+        EXPECT_EQ(b.refOccupation, a.refOccupation) << "point " << i;
+        EXPECT_EQ(b.mthVopc, a.mthVopc) << "point " << i;
+        EXPECT_EQ(b.refVopc, a.refVopc) << "point " << i;
+    }
+    EXPECT_EQ(warm.serverDigest, cold.serverDigest);
+    EXPECT_EQ(warm.clientDigest, cold.clientDigest);
 }
 
 TEST_F(ServiceFixture, FrameOnRequestChannelAnswersBadFrame)
