@@ -197,6 +197,35 @@ BM_KernelBatched_Mth4Lat100(benchmark::State &state)
 }
 
 /**
+ * Every section 10 extension at once: a 4-context Cray-style job
+ * queue (2 load ports + 1 store port) with two decode slots, a
+ * 4-entry bounded rename pool and a 4-deep slip window — the fast
+ * lane's wide build. CI ratchets batched over event on it: a batched
+ * point handed back to the event kernel reads about 1.0x.
+ */
+MachineParams
+extWide()
+{
+    MachineParams p = MachineParams::crayStyle(4);
+    p.decodeWidth = 2;
+    p.renameDepth = 4;
+    p.decoupleDepth = 4;
+    return p;
+}
+
+void
+BM_KernelEvent_ExtWide(benchmark::State &state)
+{
+    runMachine(state, extWide(), SimKernel::Event, kernelScale);
+}
+
+void
+BM_KernelBatched_ExtWide(benchmark::State &state)
+{
+    runMachine(state, extWide(), SimKernel::Batched, kernelScale);
+}
+
+/**
  * The whole Figure 10 latency sweep through runAll(): 7 independent
  * points, one engine task and one kernel call each. The one-worker
  * pair measures the kernels back to back; the four-worker pair
@@ -270,6 +299,8 @@ BENCHMARK(BM_KernelBatched_Fig10Lat100);
 BENCHMARK(BM_KernelStepped_Mth4Lat100);
 BENCHMARK(BM_KernelEvent_Mth4Lat100);
 BENCHMARK(BM_KernelBatched_Mth4Lat100);
+BENCHMARK(BM_KernelEvent_ExtWide);
+BENCHMARK(BM_KernelBatched_ExtWide);
 BENCHMARK(BM_KernelEvent_Fig10Sweep)->UseManualTime();
 BENCHMARK(BM_KernelBatched_Fig10Sweep)->UseManualTime();
 BENCHMARK(BM_KernelEvent_Fig10Sweep4W)->UseManualTime();

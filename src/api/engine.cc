@@ -52,11 +52,6 @@ ExperimentEngine::ExperimentEngine(EngineOptions options)
     obsUncachedRuns_ = reg.counter("engine_uncached_runs_total");
     obsCancelledRuns_ = reg.counter("engine_cancelled_runs_total");
     obsDiscardedTasks_ = reg.counter("engine_discarded_tasks_total");
-    for (size_t r = 1; r < obsKernelFallback_.size(); ++r) {
-        obsKernelFallback_[r] = reg.counter(
-            format("engine_kernel_fallback_total{reason=\"%s\"}",
-                   fallbackReasonName(static_cast<FallbackReason>(r))));
-    }
 
     pool_.reserve(workers_);
     for (int i = 0; i < workers_; ++i)
@@ -391,13 +386,7 @@ ExperimentEngine::simulate(const RunSpec &spec) const
         raw.push_back(sources.back().get());
     }
 
-    const MachineParams params = spec.effectiveParams();
-    VectorSim sim(params, kernel_);
-    if (kernel_ == SimKernel::Batched) {
-        const FallbackReason reason = fallbackReason(params);
-        if (reason != FallbackReason::None)
-            obsKernelFallback_[static_cast<size_t>(reason)]->inc();
-    }
+    VectorSim sim(spec.effectiveParams(), kernel_);
     switch (spec.mode) {
       case SpecMode::Single:
         return sim.runSingle(*raw[0], spec.maxInstructions);
@@ -451,7 +440,7 @@ ExperimentEngine::insertCompleted(const std::string &key,
 
 ExperimentEngine::CachedStats
 ExperimentEngine::cachedStats(
-    const RunSpec &spec, Origin *origin,
+    const std::string &key, const RunSpec &spec, Origin *origin,
     std::shared_ptr<const std::string> *blobOut)
 {
     // Truncated runs (the F_i terms of the speedup accounting) are
@@ -464,11 +453,9 @@ ExperimentEngine::cachedStats(
     if (!memoize_ || spec.maxInstructions != 0) {
         uncachedRuns_.fetch_add(1);
         obsUncachedRuns_->inc();
-        return loadOrSimulate(spec.canonical(), spec, origin,
-                              blobOut);
+        return loadOrSimulate(key, spec, origin, blobOut);
     }
 
-    const std::string key = spec.canonical();
     std::promise<CachedStats> promise;
     std::shared_future<CachedStats> future;
     bool owner = false;
@@ -555,12 +542,16 @@ ExperimentEngine::execute(const RunSpec &spec,
 {
     RunResult result;
     result.spec = spec;
+    result.specCanonical = spec.canonical();
     Origin origin = Origin::Simulated;
-    result.stats = *cachedStats(spec, &origin, &result.blob);
+    result.stats =
+        *cachedStats(result.specCanonical, spec, &origin, &result.blob);
     result.cached = origin == Origin::Cache;
     result.fromStore = origin == Origin::Store;
-    if (spec.mode == SpecMode::Group)
-        groupMetrics(spec, result.stats, token).fill(result);
+    if (spec.mode == SpecMode::Group) {
+        groupMetrics(result.specCanonical, spec, result.stats, token)
+            .fill(result);
+    }
     obsPointsCompleted_->inc();
     return result;
 }
@@ -576,14 +567,13 @@ ExperimentEngine::GroupMetrics::fill(RunResult &result) const
 }
 
 ExperimentEngine::GroupMetrics
-ExperimentEngine::groupMetrics(const RunSpec &spec,
-                               const SimStats &mth,
+ExperimentEngine::groupMetrics(const std::string &key,
+                               const RunSpec &spec, const SimStats &mth,
                                const CancelToken *token)
 {
     if (!memoize_)
         return computeGroupMetrics(spec, mth, token);
 
-    const std::string key = spec.canonical();
     for (;;) {
         std::promise<GroupMetrics> promise;
         std::shared_future<GroupMetrics> future;
@@ -662,10 +652,10 @@ ExperimentEngine::computeGroupMetrics(const RunSpec &spec,
         // extension axes are folded into the reference point too, so
         // a multi-port or renaming sweep is compared against the
         // single-context machine with the same extension.
-        const CachedStats full = cachedStats(
-            RunSpec::reference(spec.programs[i], spec.effectiveParams(),
-                               spec.scale),
-            nullptr);
+        const RunSpec fullSpec = RunSpec::reference(
+            spec.programs[i], spec.effectiveParams(), spec.scale);
+        const CachedStats full =
+            cachedStats(fullSpec.canonical(), fullSpec, nullptr);
         if (i == 0) {
             refWork += static_cast<double>(full->cycles);
         } else {
@@ -673,12 +663,11 @@ ExperimentEngine::computeGroupMetrics(const RunSpec &spec,
             refWork += static_cast<double>(ts.runsCompleted) *
                        static_cast<double>(full->cycles);
             if (ts.instructionsThisRun > 0) {
-                const CachedStats frac = cachedStats(
-                    RunSpec::reference(spec.programs[i],
-                                       spec.effectiveParams(),
-                                       spec.scale,
-                                       ts.instructionsThisRun),
-                    nullptr);
+                const RunSpec fracSpec = RunSpec::reference(
+                    spec.programs[i], spec.effectiveParams(), spec.scale,
+                    ts.instructionsThisRun);
+                const CachedStats frac =
+                    cachedStats(fracSpec.canonical(), fracSpec, nullptr);
                 refWork += static_cast<double>(frac->cycles);
             }
         }

@@ -44,9 +44,8 @@
  *  - One task, one kernel call per spec, whatever the kernel: sweep
  *    points are independent, so the pool spreads them across workers
  *    as they come. The default kernel, SimKernel::Batched, runs each
- *    one on its fast lane (DESIGN.md section 1.3); a machine outside
- *    the lane's shape runs on the event kernel and counts once in
- *    engine_kernel_fallback_total{reason=...}.
+ *    one on its fast lane (DESIGN.md section 1.3), whatever the
+ *    machine's shape.
  *  - Request lifecycle: submit() takes an optional CancelToken.
  *    Cancellation is cooperative — checked when a worker dequeues the
  *    task and between the reference-term runs of the group
@@ -60,7 +59,6 @@
 #ifndef MTV_API_ENGINE_HH
 #define MTV_API_ENGINE_HH
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -79,7 +77,6 @@
 
 #include "src/api/backend.hh"
 #include "src/api/run_spec.hh"
-#include "src/core/batch_kernel.hh"
 #include "src/core/sim.hh"
 #include "src/obs/metrics.hh"
 #include "src/trace/analyzer.hh"
@@ -132,8 +129,7 @@ struct EngineOptions
     int workers = 0;
     /**
      * Which simulation kernel executes the specs. The batched fast
-     * lane (the default; out-of-shape machines fall back to the event
-     * kernel and count in engine_kernel_fallback_total), the
+     * lane (the default; it runs every machine shape), the
      * event-driven kernel and the cycle-stepped reference produce
      * bit-identical SimStats (guarded by tests/test_golden.cc and the
      * CI kernel-parity job), so this knob exists purely for A/B
@@ -203,8 +199,9 @@ struct RunResult
     std::shared_ptr<const std::string> blob;
     /**
      * spec.canonical(), when a producer already had it in hand: the
-     * submit() fast path reuses its cache-lookup key, and the wire
-     * decoders keep the received spec string. Empty otherwise.
+     * engine sets the key it looked the spec up by (both the submit()
+     * fast path and the worker path), and the wire decoders keep the
+     * received spec string. Empty otherwise.
      * Encoders use it to skip recanonicalizing on the hot result
      * path; when set it is guaranteed equal to spec.canonical().
      */
@@ -436,15 +433,15 @@ class ExperimentEngine
     SimStats simulate(const RunSpec &spec) const;
 
     /**
-     * Cache/backend-served stats for @p spec; sets @p origin when
-     * non-null. The returned pointer keeps the result alive
-     * independent of cache eviction or clear(). @p blobOut, when
-     * non-null, receives the backend record's canonical bytes on a
-     * direct store hit (RunResult::blob) and is left untouched
-     * otherwise.
+     * Cache/backend-served stats for @p spec, whose canonical() is
+     * @p key; sets @p origin when non-null. The returned pointer
+     * keeps the result alive independent of cache eviction or
+     * clear(). @p blobOut, when non-null, receives the backend
+     * record's canonical bytes on a direct store hit (RunResult::blob)
+     * and is left untouched otherwise.
      */
     CachedStats cachedStats(
-        const RunSpec &spec, Origin *origin,
+        const std::string &key, const RunSpec &spec, Origin *origin,
         std::shared_ptr<const std::string> *blobOut = nullptr);
 
     /** Backend lookup (when attached) falling back to simulation +
@@ -464,11 +461,12 @@ class ExperimentEngine
                       const CancelToken *token = nullptr);
 
     /**
-     * Section 4.1 metrics of a group-mode run, memoized per spec so
-     * a cache hit on the group stats does not re-pay the truncated
-     * F_i reference simulations.
+     * Section 4.1 metrics of a group-mode run, memoized per spec (by
+     * its canonical() @p key) so a cache hit on the group stats does
+     * not re-pay the truncated F_i reference simulations.
      */
-    GroupMetrics groupMetrics(const RunSpec &spec, const SimStats &mth,
+    GroupMetrics groupMetrics(const std::string &key, const RunSpec &spec,
+                              const SimStats &mth,
                               const CancelToken *token);
 
     /** Compute the metrics (reference runs via the stats cache). */
@@ -550,10 +548,6 @@ class ExperimentEngine
     Counter *obsUncachedRuns_ = nullptr;
     Counter *obsCancelledRuns_ = nullptr;
     Counter *obsDiscardedTasks_ = nullptr;
-    /** engine_kernel_fallback_total{reason=...}, by FallbackReason
-     *  (None has no series). */
-    std::array<Counter *, static_cast<size_t>(FallbackReason::NumReasons)>
-        obsKernelFallback_{};
 };
 
 } // namespace mtv

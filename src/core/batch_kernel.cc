@@ -2,15 +2,24 @@
  * @file
  * The fast-lane kernel. The fast lane below is a transliteration of
  * the event kernel — VectorSim::runEvent plus
- * DispatchUnit::planDispatch/commit — specialized to the machine
- * shape sweeps run (one decode slot, no decoupled slip, so a one-deep
- * fetch window), reading the sources' shared instruction streams in
- * place. Every fetch, operand check, threshold, charge and ready-time
- * write below mirrors its original check-for-check; the golden
- * digests and the figure-pass differential (tests/test_golden.cc) and
- * the CI kernel-parity job keep the two in step. When you change
- * dispatch semantics in src/core/dispatch.cc or run machinery in
- * src/core/sim.cc, change the mirror here.
+ * DispatchUnit::planAny/planDispatch/commit — reading the sources'
+ * shared instruction streams in place. It is compiled twice from one
+ * source (FastLane<Wide>):
+ *
+ *  - the narrow build runs the machines most sweeps run — one decode
+ *    slot, no slip window, no bounded rename pool — with a one-deep
+ *    fetch window and none of the wide state below;
+ *  - the wide build adds multi-slot decode (decodeWidth > 1,
+ *    dualScalar), the 1 + decoupleDepth window with the slip search,
+ *    and the bounded rename pool (renameDepth > 0).
+ *
+ * Every fetch, operand check, threshold, charge and ready-time write
+ * below mirrors its original check-for-check; the golden digests, the
+ * figure-pass differential (tests/test_golden.cc), the random-machine
+ * differential (tests/test_batch.cc) and the CI kernel-parity job
+ * keep the two in step. When you change dispatch semantics in
+ * src/core/dispatch.cc or run machinery in src/core/sim.cc, change
+ * the mirror here.
  */
 
 #include "src/core/batch_kernel.hh"
@@ -119,28 +128,48 @@ struct LaneProgram
 // The fast lane
 // ---------------------------------------------------------------------
 
+/** A fetched instruction: a pointer into the shared stream and its
+ *  opcode row. */
+struct Fetched
+{
+    const Instruction *inst = nullptr;
+    OpFacts facts;
+};
+
+/** The deepest fetch window MachineParams::validate() admits:
+ *  1 + decoupleDepth, decoupleDepth <= 16. */
+constexpr size_t maxWindowDepth = 17;
+
+/** The largest bounded rename pool (renameDepth <= 8). */
+constexpr size_t maxRenameSlots = 8;
+
 /**
- * Per-context state, flat. Mirrors mtv::Context with the one-deep
- * window collapsed to a pointer into the shared stream and the source
- * cursor inlined (no virtual next(), no Instruction copies).
+ * Per-context state, flat. Mirrors mtv::Context with the window held
+ * as pointers into the shared stream and the source cursor inlined
+ * (no virtual next(), no Instruction copies). The narrow build keeps
+ * a one-entry window and no rename pool.
  */
+template <bool Wide>
 struct FastContext
 {
     const LaneProgram *prog = nullptr;  ///< null: empty context
     const Instruction *next = nullptr;  ///< fetch cursor into prog
     const Instruction *end = nullptr;   ///< end of prog's stream
-    const Instruction *head = nullptr;  ///< the 1-deep window
-    OpFacts facts;                      ///< head's opcode row
+    /** Fetched-but-not-dispatched instructions, program order. */
+    std::array<Fetched, Wide ? maxWindowDepth : 1> window;
+    uint32_t windowSize = 0;
     bool finished = false;
     bool restartable = false;
     uint64_t fetchReadyAt = 0;
     uint64_t scalarReady[numSRegs + numARegs] = {};
     VRegTiming vregs[numVRegs] = {};
     BankPorts banks[numVRegs / 2] = {};
+    /** The bounded rename pool (mtv::Context::renameSlots). */
+    std::array<uint64_t, Wide ? maxRenameSlots : 0> renameSlots{};
     ThreadStats stats;
     int jobIndex = -1;
 
-    bool hasWork() const { return !finished || head; }
+    bool hasWork() const { return !finished || windowSize; }
 
     /** Start fetching @p program from its first instruction. */
     void
@@ -152,12 +181,26 @@ struct FastContext
     }
 };
 
+/** Does @p params need the wide build: more than one decode slot, a
+ *  slip window or a bounded rename pool? */
+bool
+wideShape(const MachineParams &params)
+{
+    return params.decodeWidth > 1 || params.dualScalar ||
+           params.decoupleDepth > 0 || params.renameDepth > 0;
+}
+
 /**
  * One point's machine, run to completion by run(). Equivalent to
- * VectorSim(params, SimKernel::Event) on the same point.
+ * VectorSim(params, SimKernel::Event) on the same point. @p Wide
+ * selects the build: the narrow one only runs machines outside
+ * wideShape().
  */
+template <bool Wide>
 class FastLane
 {
+    using Ctx = FastContext<Wide>;
+
   public:
     FastLane(const BatchPoint &point, std::vector<LaneProgram> programs)
         : params_(point.params), mem_(params_),
@@ -169,7 +212,11 @@ class FastLane
                                : 0),
           programs_(std::move(programs))
     {
-        MTV_ASSERT(fallbackReason(params_) == FallbackReason::None);
+        MTV_ASSERT(Wide || !wideShape(params_));
+        depth_ = 1 + static_cast<uint32_t>(params_.decoupleDepth);
+        multiSlot_ = params_.dualScalar || params_.decodeWidth > 1;
+        width_ = params_.dualScalar ? params_.contexts : params_.decodeWidth;
+        renamingEnabled_ = params_.renamingEnabled();
         contexts_.resize(params_.contexts);
         lastSelected_.assign(params_.contexts, 0);
         scanWhy_.assign(params_.contexts, BlockReason::NoWork);
@@ -188,14 +235,14 @@ class FastLane
 
         switch (point.kind) {
           case BatchPoint::Kind::Single: {
-            FastContext &ctx0 = contexts_[0];
+            Ctx &ctx0 = contexts_[0];
             ctx0.load(&programs_[0]);
             ctx0.stats.program = ctx0.prog->name;
             break;
           }
           case BatchPoint::Kind::Group:
             for (size_t i = 0; i < programs_.size(); ++i) {
-                FastContext &ctx = contexts_[i];
+                Ctx &ctx = contexts_[i];
                 ctx.load(&programs_[i]);
                 ctx.restartable = i != 0;
                 ctx.stats.program = ctx.prog->name;
@@ -276,22 +323,25 @@ class FastLane
      * The single-context step: the advanceMulti() loop with the context
      * scan, thread-switch machinery and per-span accounting shells
      * collapsed. Reference-machine sweeps (the Figure 10 ratchet)
-     * spend their whole run here.
+     * spend their whole run here. One context means one decode slot,
+     * so the wide build only adds the window and the rename pool; the
+     * window is refilled after every commit and every jump, as
+     * primeFetch() would.
      */
     void
     advanceSingle()
     {
-        FastContext &ctx = contexts_[0];
+        Ctx &ctx = contexts_[0];
         BlockReason why = BlockReason::NoWork;
-        if (ctx.head || refillWindow(ctx, now_, why)) {
+        if (ctx.windowSize || refillWindow(ctx, now_, why)) {
             DispatchPlan plan{};
-            if (planHead(ctx, now_, plan, why, unblockAt_[0])) {
+            if (planAny(ctx, now_, plan, why, unblockAt_[0])) {
                 commit(ctx, plan, now_);
                 lastDispatchCycle_ = now_;
                 ++stateHist_[static_cast<size_t>(stateBits(now_))];
                 histPending_ = now_ + 1;
                 ++now_;
-                if (!ctx.head)
+                if (ctx.windowSize < depth())
                     refillWindow(ctx, now_, why);
                 checkWatchdog(now_);
                 finished_ = done(now_);
@@ -305,14 +355,14 @@ class FastLane
         // directly on this hot path.
         scanWhy_[0] = why;
         const uint64_t watchdogAt = lastDispatchCycle_ + stallLimit_ + 1;
-        uint64_t wake = ctx.head ? unblockAt_[0] : wakeAfter(now_);
+        uint64_t wake = ctx.windowSize ? unblockAt_[0] : wakeAfter(now_);
         if (wake <= now_ || wake > watchdogAt)
             wake = watchdogAt;
         const uint64_t span = wake - now_;
         decodeIdle_ += span;
         ctx.stats.blocked[static_cast<size_t>(why)] += span;
         now_ = wake;
-        if (!ctx.head)
+        if (ctx.windowSize < depth())
             refillWindow(ctx, now_, why);
         checkWatchdog(now_);
         finished_ = done(now_);
@@ -333,7 +383,7 @@ class FastLane
         stats.vecOpsFu2 = vecOpsFu2_;
         stats.dispatches = dispatches_;
         stats.decodeIdle = decodeIdle_;
-        stats.decoupledSlips = 0;
+        stats.decoupledSlips = decoupledSlips_;
         stats.fu1BusyCycles = pipes_.fu1().busyCycles();
         stats.fu2BusyCycles = pipes_.fu2().busyCycles();
         stats.stateHist = stateHist_;
@@ -452,31 +502,50 @@ class FastLane
         }
     }
 
-    // --- fetch (mirrors VectorSim::ensureWindow at window depth 1) ---
+    // --- fetch (mirrors VectorSim::ensureWindow) ---
+
+    /** Window capacity: 1 + decoupleDepth (always 1 when narrow). */
+    uint32_t
+    depth() const
+    {
+        if constexpr (Wide)
+            return depth_;
+        return 1;
+    }
 
     bool
-    ensureWindow(FastContext &ctx, uint64_t now, BlockReason &why)
+    ensureWindow(Ctx &ctx, uint64_t now, BlockReason &why)
     {
-        if (ctx.head)
+        if (ctx.windowSize >= depth())
             return true;
         return refillWindow(ctx, now, why);
     }
 
     bool
-    refillWindow(FastContext &ctx, uint64_t now, BlockReason &why)
+    refillWindow(Ctx &ctx, uint64_t now, BlockReason &why)
     {
         bool fetchStalled = false;
-        while (!ctx.finished && ctx.prog && !ctx.head) {
+        while (!ctx.finished && ctx.prog && ctx.windowSize < depth()) {
             if (ctx.fetchReadyAt > now) {
                 fetchStalled = true;
                 break;
             }
-            // (The never-fetch-past-a-branch guard is unreachable at
-            // depth 1: the loop only runs with an empty window.)
+            // Never fetch past an unresolved branch (unreachable at
+            // depth 1: the loop only runs with an empty window).
+            if (Wide && ctx.windowSize &&
+                (ctx.window[ctx.windowSize - 1].facts.flags &
+                 kFlagBranch)) {
+                break;
+            }
+            // Truncated reference runs: stop fetching at the budget,
+            // counting what the window already holds.
             if (maxInstructions_ &&
-                ctx.stats.instructions >= maxInstructions_) {
-                ctx.finished = true;
-                ctx.stats.runsCompleted = 0;
+                ctx.stats.instructions + (Wide ? ctx.windowSize : 0) >=
+                    maxInstructions_) {
+                if (!ctx.windowSize) {
+                    ctx.finished = true;
+                    ctx.stats.runsCompleted = 0;
+                }
                 break;
             }
 
@@ -484,17 +553,26 @@ class FastLane
                 const Instruction &inst = *ctx.next++;
                 const auto op = static_cast<size_t>(inst.op);
                 MTV_ASSERT(op < numOpcodes);
-                ctx.facts = opFactsTable[op];
-                if (!operandsInRange(inst, ctx.facts))
+                Fetched &slot = ctx.window[ctx.windowSize];
+                slot.facts = opFactsTable[op];
+                if (!operandsInRange(inst, slot.facts))
                     checkOperands(inst);  // fatal()s with the reason
-                ctx.head = &inst;
-                break;  // window full (depth 1)
+                slot.inst = &inst;
+                ++ctx.windowSize;
+                if constexpr (!Wide)
+                    break;  // window full
+                continue;
             }
+            // End of the current run: drain the window before
+            // restarting or taking the next job, so runs never
+            // interleave.
+            if (Wide && ctx.windowSize)
+                break;
             if (!startNextRun(ctx, now))
                 break;
         }
 
-        if (ctx.head)
+        if (ctx.windowSize)
             return true;
         why = fetchStalled ? BlockReason::FetchStall
                            : BlockReason::NoWork;
@@ -505,7 +583,7 @@ class FastLane
      *  program (true: keep fetching), or finish the context. Once
      *  per run, so kept out of the inlined fetch path. */
     [[gnu::noinline]] bool
-    startNextRun(FastContext &ctx, uint64_t now)
+    startNextRun(Ctx &ctx, uint64_t now)
     {
         if (mode_ == RunMode::JobQueue) {
             if (ctx.jobIndex >= 0) {
@@ -548,14 +626,92 @@ class FastLane
         }
     }
 
-    // --- dispatch (mirrors DispatchUnit::planDispatch/commit) ---
+    // --- dispatch (mirrors DispatchUnit::planAny/planDispatch/commit)
 
+    /**
+     * Plan the head, or — with a slip window — a vector memory
+     * instruction behind the blocked head that conflicts with none of
+     * the skipped entries. On failure @p why holds the head's reason
+     * and @p unblockAt the earliest threshold of the failed plans.
+     */
     bool
-    planHead(const FastContext &ctx, uint64_t now, DispatchPlan &plan,
-             BlockReason &why, uint64_t &unblockAt)
+    planAny(const Ctx &ctx, uint64_t now, DispatchPlan &plan,
+            BlockReason &why, uint64_t &unblockAt)
     {
-        const Instruction &inst = *ctx.head;
-        const OpFacts &f = ctx.facts;
+        if (planEntry(ctx, now, plan, why, unblockAt))
+            return true;
+        if constexpr (Wide) {
+            for (uint32_t k = 1; k < ctx.windowSize; ++k) {
+                const Fetched &cand = ctx.window[k];
+                if ((cand.facts.flags & (kFlagVector | kFlagMem)) !=
+                    (kFlagVector | kFlagMem)) {
+                    continue;
+                }
+                bool clear = true;
+                for (uint32_t j = 0; j < k && clear; ++j)
+                    clear = canSlipPast(*cand.inst, *ctx.window[j].inst);
+                if (!clear)
+                    continue;
+                DispatchPlan slipped{};
+                slipped.windowIndex = k;
+                BlockReason slipWhy = BlockReason::NoWork;
+                uint64_t slipAt = 0;
+                if (planEntry(ctx, now, slipped, slipWhy, slipAt)) {
+                    plan = slipped;
+                    return true;
+                }
+                unblockAt = std::min(unblockAt, slipAt);
+            }
+        }
+        return false;
+    }
+
+    /**
+     * The WAW/WAR check on a vector destination (destReady in
+     * dispatch.cc): idle, or hidden by renaming. The bounded pool
+     * hides a hazard only while a slot is free, and @p plan then
+     * claims one.
+     */
+    bool
+    destReady(const Ctx &ctx, const VRegTiming &dst, uint64_t now,
+              DispatchPlan &plan, uint64_t &unblockAt) const
+    {
+        if (dst.idleAt(now))
+            return true;
+        const uint64_t idleAt = std::max(dst.writeDone, dst.readBusy);
+        if constexpr (Wide) {
+            if (params_.renameDepth > 0) {
+                uint64_t slotFree = ctx.renameSlots[0];
+                for (int i = 1; i < params_.renameDepth; ++i)
+                    slotFree = std::min(slotFree, ctx.renameSlots[i]);
+                if (slotFree > now) {
+                    unblockAt = std::min(idleAt, slotFree);
+                    return false;
+                }
+                plan.renamed = true;
+                return true;
+            }
+        }
+        if (params_.renaming)
+            return true;
+        unblockAt = idleAt;
+        return false;
+    }
+
+    /** The window entry @p plan is for (the head when narrow). */
+    static const Fetched &
+    entryOf(const Ctx &ctx, const DispatchPlan &plan)
+    {
+        return ctx.window[Wide ? plan.windowIndex : 0];
+    }
+
+    /** Plan the window entry plan.windowIndex names (planDispatch). */
+    bool
+    planEntry(const Ctx &ctx, uint64_t now, DispatchPlan &plan,
+              BlockReason &why, uint64_t &unblockAt)
+    {
+        const Instruction &inst = *entryOf(ctx, plan).inst;
+        const OpFacts &f = entryOf(ctx, plan).facts;
         if (f.fu == FuClass::Scalar) {
             for (const uint8_t src : {inst.srcA, inst.srcB}) {
                 if (src != noReg && ctx.scalarReady[src] > now) {
@@ -639,10 +795,9 @@ class FastLane
 
             const bool isReduce = inst.op == Opcode::VReduce;
             if (!isReduce) {
-                const VRegTiming &dst = ctx.vregs[inst.dst];
-                if (!params_.renaming && !dst.idleAt(now)) {
+                if (!destReady(ctx, ctx.vregs[inst.dst], now, plan,
+                               unblockAt)) {
                     why = BlockReason::DestBusy;
-                    unblockAt = std::max(dst.writeDone, dst.readBusy);
                     return false;
                 }
             } else if (inst.dst != noReg && ctx.scalarReady[inst.dst] > now) {
@@ -668,7 +823,7 @@ class FastLane
                         return false;
                     }
                 }
-                if (!isReduce && !params_.renaming &&
+                if (!isReduce && !renamingEnabled_ &&
                     !ctx.banks[vregBank(inst.dst)].writeFreeAt(now)) {
                     why = BlockReason::BankPortBusy;
                     unblockAt = ctx.banks[vregBank(inst.dst)].writeUntil;
@@ -712,13 +867,12 @@ class FastLane
                 unblockAt = nextPortEvent(portsFor(f), now);
                 return false;
             }
-            const VRegTiming &dst = ctx.vregs[inst.dst];
-            if (!params_.renaming && !dst.idleAt(now)) {
+            if (!destReady(ctx, ctx.vregs[inst.dst], now, plan,
+                           unblockAt)) {
                 why = BlockReason::DestBusy;
-                unblockAt = std::max(dst.writeDone, dst.readBusy);
                 return false;
             }
-            if (params_.modelBankPorts && !params_.renaming &&
+            if (params_.modelBankPorts && !renamingEnabled_ &&
                 !ctx.banks[vregBank(inst.dst)].writeFreeAt(now)) {
                 why = BlockReason::BankPortBusy;
                 unblockAt = ctx.banks[vregBank(inst.dst)].writeUntil;
@@ -786,11 +940,29 @@ class FastLane
         return true;
     }
 
+    /** Claim the earliest-retiring rename slot for the register @p dst
+     *  displaces (takeRenameSlot in dispatch.cc). */
     void
-    commit(FastContext &ctx, const DispatchPlan &plan, uint64_t now)
+    claimRenameSlot(Ctx &ctx, const VRegTiming &dst,
+                    const DispatchPlan &plan) const
     {
-        const Instruction &inst = *ctx.head;
-        const OpFacts &f = ctx.facts;
+        if constexpr (Wide) {
+            if (!plan.renamed)
+                return;
+            int best = 0;
+            for (int i = 1; i < params_.renameDepth; ++i) {
+                if (ctx.renameSlots[i] < ctx.renameSlots[best])
+                    best = i;
+            }
+            ctx.renameSlots[best] = std::max(dst.writeDone, dst.readBusy);
+        }
+    }
+
+    void
+    commit(Ctx &ctx, const DispatchPlan &plan, uint64_t now)
+    {
+        const Instruction &inst = *entryOf(ctx, plan).inst;
+        const OpFacts &f = entryOf(ctx, plan).facts;
         // The occupations below invalidate the frozen intervals the
         // deferred histogram relies on: integrate up to here first.
         flushHist(now);
@@ -833,6 +1005,7 @@ class FastLane
                     ctx.scalarReady[inst.dst] = plan.scalarReady;
             } else {
                 VRegTiming &dst = ctx.vregs[inst.dst];
+                claimRenameSlot(ctx, dst, plan);
                 dst.prodFirst = plan.prodFirst;
                 dst.writeDone = plan.writeDone;
                 dst.chainable = plan.chainableOut;
@@ -846,6 +1019,7 @@ class FastLane
             plan.port->bus.reserve(plan.start, vl);
             if (f.flags & kFlagLoad) {
                 VRegTiming &dst = ctx.vregs[inst.dst];
+                claimRenameSlot(ctx, dst, plan);
                 dst.prodFirst = plan.prodFirst;
                 dst.writeDone = plan.writeDone;
                 dst.chainable = plan.chainableOut;
@@ -869,22 +1043,42 @@ class FastLane
             ++ctx.stats.scalarInstructions;
         ctx.stats.lastCompletion =
             std::max(ctx.stats.lastCompletion, plan.completion);
-        ctx.head = nullptr;
+        if constexpr (Wide) {
+            if (plan.windowIndex > 0)
+                ++decoupledSlips_;
+            std::copy(ctx.window.begin() + plan.windowIndex + 1,
+                      ctx.window.begin() + ctx.windowSize,
+                      ctx.window.begin() + plan.windowIndex);
+            --ctx.windowSize;
+        } else {
+            ctx.windowSize = 0;
+        }
     }
 
-    // --- the decode cycle (mirrors VectorSim::decodeSingleSlot) ---
+    // --- the decode cycle (mirrors VectorSim::decodeCycle) ---
+
+    /** More than one decode slot per cycle (never when narrow)? */
+    bool
+    multiSlot() const
+    {
+        if constexpr (Wide)
+            return multiSlot_;
+        return false;
+    }
 
     bool
     decodeCycle(uint64_t now)
     {
-        FastContext &held = contexts_[currentThread_];
+        if (multiSlot())
+            return decodeMultiSlot(now);
+        Ctx &held = contexts_[currentThread_];
         lastSelected_[currentThread_] = now;
         BlockReason heldWhy = BlockReason::NoWork;
         bool dispatched = false;
         if (ensureWindow(held, now, heldWhy)) {
             DispatchPlan plan{};
-            if (planHead(held, now, plan, heldWhy,
-                         unblockAt_[currentThread_])) {
+            if (planAny(held, now, plan, heldWhy,
+                        unblockAt_[currentThread_])) {
                 commit(held, plan, now);
                 lastDispatchCycle_ = now;
                 dispatched = true;
@@ -907,20 +1101,65 @@ class FastLane
         return dispatched;
     }
 
+    /**
+     * Every context in index order up to the decode width takes a
+     * slot (VectorSim::decodeMultiSlot); one shared scalar unit
+     * unless dualScalar.
+     */
+    bool
+    decodeMultiSlot(uint64_t now)
+    {
+        int issued = 0;
+        bool scalarUsed = false;
+        for (int c = 0; c < params_.contexts && issued < width_; ++c) {
+            Ctx &ctx = contexts_[c];
+            BlockReason why = BlockReason::NoWork;
+            DispatchPlan plan{};
+            if (!ensureWindow(ctx, now, why) ||
+                !planAny(ctx, now, plan, why, unblockAt_[c])) {
+                ctx.stats.blocked[static_cast<size_t>(why)]++;
+                scanWhy_[c] = why;
+                continue;
+            }
+            const bool isScalar = plan.unit == DispatchPlan::Unit::Scalar;
+            if (isScalar && scalarUsed && !params_.dualScalar) {
+                ctx.stats.blocked[static_cast<size_t>(
+                    BlockReason::ScalarDep)]++;
+                scanWhy_[c] = BlockReason::ScalarDep;
+                continue;
+            }
+            commit(ctx, plan, now);
+            lastDispatchCycle_ = now;
+            ++issued;
+            scanWhy_[c] = BlockReason::None;
+            if (isScalar)
+                scalarUsed = true;
+        }
+        if (!issued)
+            ++decodeIdle_;
+        return issued > 0;
+    }
+
+    /** Context @p c's block reason at @p now (None: it can dispatch). */
+    BlockReason
+    reasonAt(int c, uint64_t now)
+    {
+        Ctx &ctx = contexts_[c];
+        BlockReason why = BlockReason::NoWork;
+        if (ensureWindow(ctx, now, why)) {
+            DispatchPlan plan{};
+            if (planAny(ctx, now, plan, why, unblockAt_[c]))
+                why = BlockReason::None;
+        }
+        return why;
+    }
+
     void
     scanContexts(uint64_t now)
     {
         for (int c = 0; c < params_.contexts; ++c) {
-            if (c == currentThread_)
-                continue;  // the dispatch attempt already recorded it
-            FastContext &ctx = contexts_[c];
-            BlockReason why = BlockReason::NoWork;
-            if (ensureWindow(ctx, now, why)) {
-                DispatchPlan plan{};
-                if (planHead(ctx, now, plan, why, unblockAt_[c]))
-                    why = BlockReason::None;
-            }
-            scanWhy_[c] = why;
+            if (c != currentThread_)  // the dispatch attempt recorded it
+                scanWhy_[c] = reasonAt(c, now);
         }
     }
 
@@ -983,7 +1222,7 @@ class FastLane
             contexts_[c].stats.blocked[static_cast<size_t>(
                 scanWhy_[c])] += skipped;
         }
-        if (params_.sched == SchedPolicy::RoundRobin)
+        if (!multiSlot() && params_.sched == SchedPolicy::RoundRobin)
             advanceRoundRobin(skipped);
     }
 
@@ -1022,8 +1261,8 @@ class FastLane
     {
         EventMin em(now);
         for (int c = 0; c < params_.contexts; ++c) {
-            const FastContext &ctx = contexts_[c];
-            if (ctx.head) {
+            const Ctx &ctx = contexts_[c];
+            if (ctx.windowSize) {
                 em.consider(unblockAt_[c]);
             } else {
                 em.consider(ctx.fetchReadyAt);
@@ -1039,13 +1278,13 @@ class FastLane
     done(uint64_t now) const
     {
         if (mode_ == RunMode::UntilThreadZero) {
-            const FastContext &ctx0 = contexts_[0];
-            return ctx0.finished && !ctx0.head &&
+            const Ctx &ctx0 = contexts_[0];
+            return ctx0.finished && !ctx0.windowSize &&
                    now >= ctx0.stats.lastCompletion;
         }
         uint64_t maxCompletion = 0;
         for (const auto &ctx : contexts_) {
-            if (!ctx.finished || ctx.head)
+            if (!ctx.finished || ctx.windowSize)
                 return false;
             maxCompletion =
                 std::max(maxCompletion, ctx.stats.lastCompletion);
@@ -1063,29 +1302,20 @@ class FastLane
     [[noreturn]] void
     throwWedged(uint64_t now)
     {
-        scanContexts(now);
-        {
-            FastContext &held = contexts_[currentThread_];
-            BlockReason why = BlockReason::NoWork;
-            if (ensureWindow(held, now, why)) {
-                DispatchPlan plan{};
-                if (planHead(held, now, plan, why,
-                             unblockAt_[currentThread_]))
-                    why = BlockReason::None;
-            }
-            scanWhy_[currentThread_] = why;
-        }
+        // Every context's blocked state, the slot holder's included
+        // (the rotation makes it arbitrary; multi-slot has none).
+        // Every window is primed at `now`, so the scan order is moot.
         std::vector<BlockedContext> blocked;
         blocked.reserve(contexts_.size());
         for (int c = 0; c < params_.contexts; ++c) {
-            const FastContext &ctx = contexts_[c];
+            const Ctx &ctx = contexts_[c];
             BlockedContext b;
             b.context = c;
             b.program = ctx.stats.program;
-            b.reason = scanWhy_[c];
-            b.windowDepth = ctx.head ? 1 : 0;
-            if (ctx.head)
-                b.windowHead = ctx.head->disasm();
+            b.reason = reasonAt(c, now);
+            b.windowDepth = ctx.windowSize;
+            if (ctx.windowSize)
+                b.windowHead = ctx.window[0].inst->disasm();
             blocked.push_back(std::move(b));
         }
         throw SimError(now, now - lastDispatchCycle_,
@@ -1099,14 +1329,20 @@ class FastLane
     int latByOp_[static_cast<size_t>(Opcode::NumOpcodes)] = {};
     const std::vector<MemPort *> *loadPorts_ = nullptr;
     const std::vector<MemPort *> *storePorts_ = nullptr;
+    bool renamingEnabled_ = false;  ///< params_.renamingEnabled()
+
+    // --- the wide build's shape (unread when narrow) ---
+    uint32_t depth_ = 1;      ///< fetch-window capacity
+    bool multiSlot_ = false;  ///< decodeWidth > 1 or dualScalar
+    int width_ = 1;           ///< decode slots per cycle
 
     // --- machine state ---
-    std::vector<FastContext> contexts_;
+    std::vector<Ctx> contexts_;
     int currentThread_ = 0;
     std::vector<uint64_t> lastSelected_;
     std::vector<BlockReason> scanWhy_;
-    /** Per context: threshold of its last failed planHead(), the
-     *  first cycle at which that plan's blocking check can pass. */
+    /** Per context: threshold of its last failed planAny(), the
+     *  first cycle at which one of its blocking checks can pass. */
     std::vector<uint64_t> unblockAt_;
 
     // --- run bookkeeping ---
@@ -1124,6 +1360,7 @@ class FastLane
     uint64_t dispatches_ = 0;
     uint64_t vecOpsFu1_ = 0;
     uint64_t vecOpsFu2_ = 0;
+    uint64_t decoupledSlips_ = 0;
     uint64_t decodeIdle_ = 0;
     std::array<uint64_t, numFuStates> stateHist_{};
     std::vector<JobRecord> jobRecords_;
@@ -1133,7 +1370,7 @@ class FastLane
 };
 
 // ---------------------------------------------------------------------
-// Point validation and the generic fallback
+// Point validation and the generic path
 // ---------------------------------------------------------------------
 
 /** The user-error checks of the VectorSim entry points. */
@@ -1172,7 +1409,8 @@ validatePoint(const BatchPoint &point)
     }
 }
 
-/** Points outside the fast lane simulate through the event kernel. */
+/** Points whose sources hold no shared stream simulate through the
+ *  event kernel. */
 SimStats
 runGenericPoint(const BatchPoint &point)
 {
@@ -1188,13 +1426,11 @@ runGenericPoint(const BatchPoint &point)
     fatal("unreachable batch point kind");
 }
 
-/** One point to completion: its fast lane, or the generic fallback
- *  when the machine or a source (no shared stream) is out of shape. */
+/** One point to completion: the fast lane's narrow or wide build, or
+ *  the generic path when a source holds no shared stream. */
 SimStats
 runPoint(const BatchPoint &point)
 {
-    if (fallbackReason(point.params) != FallbackReason::None)
-        return runGenericPoint(point);
     std::vector<LaneProgram> programs;
     programs.reserve(point.sources.size());
     for (const InstructionSource *source : point.sources) {
@@ -1203,37 +1439,12 @@ runPoint(const BatchPoint &point)
             return runGenericPoint(point);
         programs.push_back({std::move(stream), source->name()});
     }
-    return FastLane(point, std::move(programs)).run();
+    if (wideShape(point.params))
+        return FastLane<true>(point, std::move(programs)).run();
+    return FastLane<false>(point, std::move(programs)).run();
 }
 
 } // namespace
-
-FallbackReason
-fallbackReason(const MachineParams &params)
-{
-    if (params.decodeWidth != 1)
-        return FallbackReason::DecodeWidth;
-    if (params.dualScalar)
-        return FallbackReason::DualScalar;
-    if (params.decoupleDepth != 0)
-        return FallbackReason::DecoupleDepth;
-    if (params.renameDepth != 0)
-        return FallbackReason::RenameDepth;
-    return FallbackReason::None;
-}
-
-const char *
-fallbackReasonName(FallbackReason reason)
-{
-    switch (reason) {
-      case FallbackReason::None: return "none";
-      case FallbackReason::DecodeWidth: return "decodeWidth";
-      case FallbackReason::DualScalar: return "dualScalar";
-      case FallbackReason::DecoupleDepth: return "decoupleDepth";
-      case FallbackReason::RenameDepth: return "renameDepth";
-      default: return "unknown";
-    }
-}
 
 std::vector<BatchResult>
 runBatch(const std::vector<BatchPoint> &points)

@@ -5,12 +5,14 @@
  * (DESIGN.md section 1.3).
  *
  *  - The fast lane: a transliteration of the event kernel
- *    (VectorSim::runEvent + DispatchUnit plan/commit) specialized to
- *    the machines sweeps actually run — one decode slot, no
- *    decoupled slip window — with precomputed latencies, flat
- *    structure-of-arrays context blocks (scoreboards, bank ports,
- *    blocked[] reasons) and no per-cycle allocation. A blocked lane
- *    jumps straight to the earliest threshold of its contexts'
+ *    (VectorSim::runEvent + DispatchUnit plan/commit) with
+ *    precomputed latencies, flat structure-of-arrays context blocks
+ *    (scoreboards, bank ports, blocked[] reasons) and no per-cycle
+ *    allocation. It runs every machine shape, built twice from one
+ *    source: a narrow build for one decode slot and a one-deep
+ *    window, and a wide build that adds multi-slot decode, the
+ *    decoupled slip window and the bounded rename pool. A blocked
+ *    lane jumps straight to the earliest threshold of its contexts'
  *    first-failing dispatch checks.
  *
  *  - Programs are read in place: the lane holds each source's shared
@@ -19,9 +21,9 @@
  *    checks every fetched instruction's operands as the event kernel
  *    does. Nothing is cached across points.
  *
- *  - Points outside the fast lane's shape (fallbackReason() names
- *    why) or with a source that holds no shared stream run through a
- *    plain VectorSim(Event) — slower, never wrong.
+ *  - A point with a source that holds no shared stream runs through
+ *    a plain VectorSim(Event) — slower, never wrong. The engine's
+ *    sources always hold one.
  *
  * Every result is bit-identical to the same point under the other
  * kernels — the invariant the golden digests pin.
@@ -71,29 +73,6 @@ struct BatchResult
     SimStats stats;
     std::exception_ptr error;  ///< non-null: stats is meaningless
 };
-
-/**
- * Why a machine runs on the generic (Event) path instead of the fast
- * lane: the first shape predicate it fails, checked in this order.
- * Decoupling and bounded renaming (renameDepth > 0) add per-context
- * state the fast lane does not model; infinite-pool renaming and
- * multi-port memory run on the fast lane.
- */
-enum class FallbackReason : uint8_t
-{
-    None,           ///< in shape: the fast lane runs it
-    DecodeWidth,    ///< decodeWidth != 1
-    DualScalar,     ///< dualScalar
-    DecoupleDepth,  ///< decoupleDepth != 0
-    RenameDepth,    ///< renameDepth != 0
-    NumReasons
-};
-
-/** The first fast-lane shape predicate @p params fails. */
-FallbackReason fallbackReason(const MachineParams &params);
-
-/** The MachineParams field a reason names ("decodeWidth", ...). */
-const char *fallbackReasonName(FallbackReason reason);
 
 /**
  * Simulate every point, one after another, each to completion.

@@ -40,33 +40,6 @@ vregWriteMask(const Instruction &inst)
 }
 
 /**
- * May @p cand (a vector memory instruction) dispatch ahead of the
- * not-yet-dispatched @p prior? Memory stays ordered among itself,
- * nothing passes a branch, and all vector-register dependences
- * (RAW/WAW/WAR) are respected. Scalar operands are safe to ignore:
- * the trace records the effective VL/stride/address of every
- * instruction, which is exactly the address-side state a decoupled
- * machine's address processor runs ahead to produce.
- */
-bool
-canSlipPast(const Instruction &cand, const Instruction &prior)
-{
-    if (prior.op == Opcode::SBranch)
-        return false;
-    if (isMemory(cand.op) && isMemory(prior.op))
-        return false;
-    const uint8_t priorWrites = vregWriteMask(prior);
-    const uint8_t priorReads = vregReadMask(prior);
-    const uint8_t candWrites = vregWriteMask(cand);
-    const uint8_t candReads = vregReadMask(cand);
-    if (priorWrites & (candReads | candWrites))
-        return false;  // RAW or WAW
-    if (priorReads & candWrites)
-        return false;  // WAR
-    return true;
-}
-
-/**
  * Claim the earliest-retiring rename slot for the physical register
  * @p dst displaces: the spare holds the old value until its in-flight
  * write and last reader complete. Caller checked a slot is free.
@@ -116,6 +89,24 @@ destReady(const MachineParams &params, const Context &ctx,
 }
 
 } // namespace
+
+bool
+canSlipPast(const Instruction &cand, const Instruction &prior)
+{
+    if (prior.op == Opcode::SBranch)
+        return false;
+    if (isMemory(cand.op) && isMemory(prior.op))
+        return false;
+    const uint8_t priorWrites = vregWriteMask(prior);
+    const uint8_t priorReads = vregReadMask(prior);
+    const uint8_t candWrites = vregWriteMask(cand);
+    const uint8_t candReads = vregReadMask(cand);
+    if (priorWrites & (candReads | candWrites))
+        return false;  // RAW or WAW
+    if (priorReads & candWrites)
+        return false;  // WAR
+    return true;
+}
 
 std::optional<DispatchPlan>
 DispatchUnit::planAny(const Context &ctx, uint64_t now,

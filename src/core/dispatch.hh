@@ -48,6 +48,18 @@ struct DispatchPlan
     bool renamed = false;
 };
 
+/**
+ * The decoupled slip rule: may @p cand (a vector memory instruction)
+ * dispatch ahead of the not-yet-dispatched @p prior? Memory stays
+ * ordered among itself, nothing passes a branch, and all
+ * vector-register dependences (RAW/WAW/WAR) are respected. Scalar
+ * operands are safe to ignore: the trace records the effective
+ * VL/stride/address of every instruction, which is exactly the
+ * address-side state a decoupled machine's address processor runs
+ * ahead to produce. Shared with the fast lane (batch_kernel.cc).
+ */
+bool canSlipPast(const Instruction &cand, const Instruction &prior);
+
 /** Plans and commits dispatches against the shared machine state. */
 class DispatchUnit
 {

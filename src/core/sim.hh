@@ -95,9 +95,9 @@ enum class SimKernel : uint8_t
     Stepped,
     /**
      * Fast lane (src/core/batch_kernel.hh): the event kernel
-     * specialized to one decode slot, reading each source's shared
-     * stream in place; out-of-shape machines and sources without a
-     * shared stream fall back to Event. Bit-identical to
+     * specialized for speed, reading each source's shared stream in
+     * place; every machine shape runs on it, and only sources
+     * without a shared stream fall back to Event. Bit-identical to
      * Event/Stepped (tests/test_golden.cc). The engine's default.
      */
     Batched

@@ -782,6 +782,32 @@ TEST(Engine, SettledGroupHitResolvesOnCallingThread)
     EXPECT_EQ(engine.cacheHits(), hits + 1);
 }
 
+TEST(Engine, WorkerPathResultsCarryCanonicalSpec)
+{
+    // Misses run on a worker, simulated or served by the backend.
+    // Each result carries the key the engine looked its spec up by,
+    // so no encoder has to recanonicalize it.
+    auto backend = std::make_shared<CountingBackend>();
+    EngineOptions options(1);
+    options.backend = backend;
+    const RunSpec single =
+        RunSpec::single("trfd", MachineParams::reference(), testScale);
+    const RunSpec group = RunSpec::group(
+        {"trfd", "swm256"}, MachineParams::multithreaded(2), testScale);
+    {
+        ExperimentEngine engine(options);
+        for (const RunSpec &spec : {single, group}) {
+            const RunResult simulated = engine.submit(spec).get();
+            EXPECT_FALSE(simulated.cached || simulated.fromStore);
+            EXPECT_EQ(simulated.specCanonical, spec.canonical());
+        }
+    }
+    ExperimentEngine restarted(options);
+    const RunResult stored = restarted.submit(single).get();
+    EXPECT_TRUE(stored.fromStore);
+    EXPECT_EQ(stored.specCanonical, single.canonical());
+}
+
 // ---------------------------------------------------------------------
 // Named sweep families
 // ---------------------------------------------------------------------

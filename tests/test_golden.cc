@@ -278,8 +278,8 @@ goldenCases()
     // RunSpec extension axes (the ext-* sweep families): one pin per
     // axis plus the fully-combined point, all on the same job-queue
     // slice so the folds are the only difference. The decouple and
-    // rename pins exercise the batched kernel's per-point Event
-    // fallback; the multiport pin stays on the fast lane.
+    // rename pins exercise the fast lane's wide build; the multiport
+    // pin runs on its narrow build.
     cases.push_back({"axis_multiport3",
                      RunSpec::jobQueue(shortJobs(),
                                        MachineParams::multithreaded(2),
@@ -325,7 +325,7 @@ TEST(Golden, KernelParityAndPinnedDigests)
         const uint64_t batched =
             digestOf(simulate(c.spec, SimKernel::Batched));
         // The tentpole guarantees: event skipping is invisible, and
-        // the batched fast lane (or its fallback) equally so.
+        // the batched fast lane equally so.
         EXPECT_EQ(stepped, event);
         EXPECT_EQ(event, batched);
         if (print) {
